@@ -7,38 +7,42 @@ binary tree of comparators — five levels for 32 SCTs — and the paper
 notes the computation can be pipelined: "even a 4-cycle LCS computation
 degrades performance by less than 1%". ``LCSUnit`` models that
 propagation delay with a shift pipe; the n-SP uses 1 cycle and the ideal
-MSP 0 (Table I).
+MSP 0 (Table I). The tree's leaves are one cached input per bank; the
+core rewrites only the leaves of banks that changed.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
-from typing import Deque, Iterable, Optional
+from typing import Deque, Optional
+
+#: Leaf value of a bank excluded from the min-tree (Sec. 3.2.2's special
+#: condition); larger than any StateId.
+EXCLUDED = sys.maxsize
 
 
 class LCSUnit:
     """Pipelined min-reduction over the banks' RelP StateIds."""
 
-    def __init__(self, delay: int = 1) -> None:
+    def __init__(self, delay: int = 1, banks: int = 64) -> None:
         if delay < 0:
             raise ValueError("delay must be >= 0")
         self.delay = delay
+        #: One input per bank: its RelP StateId, or ``EXCLUDED``.
+        self.leaves = [EXCLUDED] * banks
         self._pipe: Deque[int] = deque([0] * delay)
         self._last_input: Optional[int] = None
 
-    def step(self, candidates: Iterable[Optional[int]],
-             all_quiescent_value: int) -> int:
-        """Feed this cycle's bank candidates; return the *effective* LCS
-        (the value that entered the pipe ``delay`` cycles ago).
+    def step(self, all_quiescent_value: int) -> int:
+        """Reduce this cycle's leaves; return the *effective* LCS (the
+        value that entered the pipe ``delay`` cycles ago).
 
         ``all_quiescent_value`` is used when every bank is excluded: the
         current SC + 1, meaning every state in flight is committable.
         """
-        lcs: Optional[int] = None
-        for candidate in candidates:
-            if candidate is not None and (lcs is None or candidate < lcs):
-                lcs = candidate
-        if lcs is None:
+        lcs = min(self.leaves)
+        if lcs == EXCLUDED:
             lcs = all_quiescent_value
         self._last_input = lcs
         if self.delay == 0:
@@ -57,8 +61,3 @@ class LCSUnit:
         if last is None:
             return self.delay == 0
         return all(stage == last for stage in self._pipe)
-
-    def flush(self, value: int = 0) -> None:
-        """Refill the pipe after a recovery (conservative restart)."""
-        self._pipe = deque([value] * self.delay)
-        self._last_input = None

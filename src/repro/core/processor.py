@@ -9,7 +9,7 @@ No ROB, no checkpoints, no RAT, no global free list. Instead:
   bank's RenP, source lookup is reading it;
 * commit is the global **LCS** min-reduction over bank RelP StateIds
   (with the Table I propagation delay), bulk-committing every older
-  state each cycle;
+  state each cycle; only banks marked dirty recompute their input;
 * recovery is **precise**: broadcast the Recovery StateId, squash every
   younger instruction, roll every bank back past entries with a younger
   Lower StateId (Sec. 3.5) — no correct-path work is ever discarded;
@@ -27,13 +27,12 @@ Per-instruction state lives in the shared in-flight window columns:
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.lcs import LCSUnit
 from repro.core.sct import RegisterBank
 from repro.core.stateid import StateIdAllocator
-from repro.isa.registers import NUM_LOGICAL_REGS, is_fp_reg, reg_name
+from repro.isa.registers import NUM_LOGICAL_REGS, is_fp_reg
 from repro.pipeline.core_base import FAULT_NONE, OutOfOrderCore
 
 Handle = Tuple[int, int]   # (logical register, bank allocation counter)
@@ -53,17 +52,27 @@ class MSPProcessor(OutOfOrderCore):
     def __init__(self, program, config) -> None:
         super().__init__(program, config)
         self.extra_dispatch_delay = 1 if config.arbitration else 0
+        self._arbitration = config.arbitration
+        self._max_renames = config.max_renames_per_cycle
+        self._max_same_reg_renames = config.max_same_reg_renames
 
+        #: Banks whose LCS input may have moved (all, at first).
+        self._dirty: Set[int] = set()
         self.banks: List[RegisterBank] = [
             RegisterBank(lr, config.bank_size,
-                         initial_value=0.0 if is_fp_reg(lr) else 0)
+                         initial_value=0.0 if is_fp_reg(lr) else 0,
+                         dirty=self._dirty)
             for lr in range(NUM_LOGICAL_REGS)
         ]
         self.sc = StateIdAllocator()
-        self.lcs = LCSUnit(delay=config.lcs_delay)
+        self.lcs = LCSUnit(delay=config.lcs_delay, banks=NUM_LOGICAL_REGS)
         #: outstanding same-state instructions that do not assign a
         #: register (the pipelined-instruction tracking of Fig. 3).
         self.state_outstanding: Dict[int, int] = {}
+        #: Bank holding each state in ``state_outstanding`` (-1: state 0,
+        #: in every bank), and the bank holding ``sc.current``.
+        self._holder: Dict[int, int] = {}
+        self._current_holder = -1
         self._committed_stateid = 0
         self._last_committed_seq = -1
 
@@ -73,7 +82,7 @@ class MSPProcessor(OutOfOrderCore):
         # rest capture from the result bypass at wakeup, so issue needs
         # no register-file access.
         self._renames_this_cycle = 0
-        self._bank_renames: Counter = Counter()
+        self._bank_renames: Dict[int, int] = {}
         self._dispatch_read_ports: Dict[int, int] = {}
         self._last_bank_blocked: Optional[int] = None
 
@@ -86,7 +95,8 @@ class MSPProcessor(OutOfOrderCore):
 
     def handle_ready(self, handle: Handle) -> bool:
         logical, mono = handle
-        return self.banks[logical].is_ready(mono)
+        bank = self.banks[logical]
+        return bank.ready[mono & bank.mask]
 
     def seed_register(self, logical: int, value) -> None:
         # Slot 0 of each bank holds the initial architectural value at
@@ -120,7 +130,15 @@ class MSPProcessor(OutOfOrderCore):
         if count:
             self.state_outstanding[stateid] = count
         else:
-            self.state_outstanding.pop(stateid, None)
+            del self.state_outstanding[stateid]
+            self._touch_holder(self._holder.pop(stateid))
+
+    def _touch_holder(self, holder: int) -> None:
+        # A state's outstanding count left or reached 0.
+        if holder < 0:
+            self._dirty.update(range(NUM_LOGICAL_REGS))
+        else:
+            self._dirty.add(holder)
 
     # ------------------------------------------------------------------ #
     # Dispatch / distributed renaming (Secs. 3.2.1, 3.3).
@@ -136,15 +154,16 @@ class MSPProcessor(OutOfOrderCore):
         dec = self._dec
         if dec.wreg[pc]:
             dest = dec.dest[pc]
-            if self.banks[dest].is_full():
+            bank = self.banks[dest]
+            if bank.alloc - bank.freed >= bank.limit:
                 self._last_bank_blocked = dest
                 return "bank_full"
-            if (self._renames_this_cycle
-                    >= self.config.max_renames_per_cycle):
+            if self._renames_this_cycle >= self._max_renames:
                 return "rename_ports"
-            if self._bank_renames[dest] >= self.config.max_same_reg_renames:
+            if (self._bank_renames.get(dest, 0)
+                    >= self._max_same_reg_renames):
                 return "sct_write_ports"
-        if self.config.arbitration and not self._claimable_read_ports(pc):
+        if self._arbitration and not self._claimable_read_ports(pc):
             self.read_port_conflicts += 1
             return "read_port_conflict"
         return None
@@ -158,8 +177,8 @@ class MSPProcessor(OutOfOrderCore):
         for i in range(nsrc):
             src = dec.s0[pc] if i == 0 else dec.s1[pc]
             bank = self.banks[src]
-            mono = bank.current_mono()
-            if not bank.is_ready(mono):
+            mono = bank.alloc - 1
+            if not bank.ready[mono & bank.mask]:
                 continue  # captured from the bypass at wakeup
             previous = self._dispatch_read_ports.get(src, group.get(src))
             if previous is not None and previous != mono:
@@ -186,34 +205,41 @@ class MSPProcessor(OutOfOrderCore):
         # Sequential processing within the cycle resolves same-cycle RAW
         # dependences, like the pointer-increment chain of Fig. 5.
         nsrc = dec.nsrc[pc]
-        arbitration = self.config.arbitration
+        arbitration = self._arbitration
         ports = self._dispatch_read_ports
+        banks = self.banks
         for i in range(nsrc):
             src = dec.s0[pc] if i == 0 else dec.s1[pc]
-            bank = self.banks[src]
-            mono = bank.current_mono()
-            bank.add_use(mono)
+            bank = banks[src]
+            mono = bank.alloc - 1
+            idx = mono & bank.mask
+            bank.uses[idx] += 1          # RelIQ use bit (add_use)
             if i == 0:
                 w.h0[slot] = (src, mono)
             else:
                 w.h1[slot] = (src, mono)
-            if arbitration and bank.is_ready(mono):
+            if arbitration and bank.ready[idx]:
                 ports[src] = mono
 
         if dec.wreg[pc]:
             stateid = self.sc.next()
             w.sid[slot] = stateid
             dest = dec.dest[pc]
-            mono = self.banks[dest].allocate(stateid)
+            mono = banks[dest].allocate(stateid)
             w.dest[slot] = (dest, mono)
+            self._current_holder = dest
             self._renames_this_cycle += 1
-            self._bank_renames[dest] += 1
+            self._bank_renames[dest] = self._bank_renames.get(dest, 0) + 1
         else:
             # Branches, stores and jumps belong to the current state.
             stateid = self.sc.current
             w.sid[slot] = stateid
-            self.state_outstanding[stateid] = (
-                self.state_outstanding.get(stateid, 0) + 1)
+            outstanding = self.state_outstanding
+            count = outstanding.get(stateid, 0)
+            outstanding[stateid] = count + 1
+            if not count:
+                holder = self._holder[stateid] = self._current_holder
+                self._touch_holder(holder)
 
     def assign_state_tag(self, slot: int) -> None:
         # NOP/HALT never execute; they carry the current state and commit
@@ -250,12 +276,17 @@ class MSPProcessor(OutOfOrderCore):
     # ------------------------------------------------------------------ #
 
     def commit_stage(self, now: int) -> None:
-        outstanding = self.state_outstanding
-        for bank in self.banks:
-            bank.advance_rel(outstanding)
-        effective_lcs = self.lcs.step(
-            (bank.lcs_candidate(outstanding) for bank in self.banks),
-            all_quiescent_value=self.sc.current + 1)
+        dirty = self._dirty
+        if dirty:                        # clean banks keep their leaf
+            outstanding = self.state_outstanding
+            banks = self.banks
+            leaves = self.lcs.leaves
+            for logical in dirty:
+                bank = banks[logical]
+                bank.advance_rel(outstanding)
+                leaves[logical] = bank.lcs_candidate(outstanding)
+            dirty.clear()
+        effective_lcs = self.lcs.step(self.sc.current + 1)
 
         in_flight = self.in_flight
         w = self.w
@@ -280,8 +311,10 @@ class MSPProcessor(OutOfOrderCore):
         if committed_any:
             self.sq.commit_up_to(self._last_committed_seq,
                                  self.commit_store_write)
+            committed = self._committed_stateid
             for bank in self.banks:
-                bank.free_up_to(self._committed_stateid)
+                if bank.freed < bank.rel:
+                    bank.free_up_to(committed)
 
     def commit_settled(self) -> bool:
         # The idle skip may elide MSP cycles only once the pipelined LCS
@@ -338,14 +371,11 @@ class MSPProcessor(OutOfOrderCore):
                 # NOP/HALT complete at dispatch and are never counted.
                 self._dec_outstanding(w.sid[slot])
         # Broadcast the Recovery StateId: release younger entries.
+        holder = -1
         for bank in banks:
             bank.rollback(recovery_stateid)
+            if bank.stateid[(bank.alloc - 1) & bank.mask] == recovery_stateid:
+                holder = bank.logical
+        self._current_holder = holder if recovery_stateid else -1
         self.sc.reset_to(recovery_stateid)
         self.fetch.redirect(resume_pc, now)
-
-    # ------------------------------------------------------------------ #
-
-    def bank_occupancy(self) -> Dict[str, int]:
-        """Live entries per logical register (debug/diagnostics)."""
-        return {reg_name(bank.logical): bank.live_entries
-                for bank in self.banks if bank.live_entries > 1}

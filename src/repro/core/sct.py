@@ -8,8 +8,8 @@ StateId; the Upper StateId is implicit in the next entry) with the value
 storage and the use tracking that in hardware lives in the RelIQ matrix.
 
 Pointers are kept as *monotonic* allocation counters (``slot index =
-counter % n``), which makes the circular one-hot shift registers of the
-paper trivially correct to model:
+counter & mask``), which makes the circular one-hot shift registers of
+the paper trivially correct to model:
 
 * ``alloc`` — one past the last allocated entry; ``alloc - 1`` is RenP,
   the current renaming;
@@ -17,57 +17,54 @@ paper trivially correct to model:
   not produced, uses outstanding, or same-state instructions pending);
 * ``freed`` — one past the last entry actually reclaimed on commit.
 
-Invariant: ``freed <= rel < alloc`` and ``alloc - freed <= n``.
+Invariant: ``freed <= rel < alloc`` and ``alloc - freed <= limit``.
+Entries live in parallel columns over a power-of-two ring (capacity
+rounded up; an unbounded bank doubles it when full, like
+:mod:`repro.pipeline.window`).
 
 A handle for a physical register in this bank is the pair
 ``(logical, mono)`` where ``mono`` is the allocation counter value — it
 is unique for the lifetime of the simulation, so stale wakeup lists can
 never alias a recycled slot.
+
+A mutation that can move RelP or the LCS input (allocate while RenP ==
+RelP, write or last consume at RelP, rollback) adds the bank to the
+shared ``dirty`` set, the banks the commit stage recomputes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import sys
+from typing import Dict, Optional, Set
+
+from repro.core.lcs import EXCLUDED
+
+UNBOUNDED_INITIAL_SIZE = 16     # ring slots before the first doubling
 
 
 class RegisterBank:
     """One logical register's bank: SCT entries + values + use tracking."""
 
     def __init__(self, logical: int, capacity: Optional[int],
-                 initial_value=0) -> None:
+                 initial_value=0, dirty: Optional[Set[int]] = None) -> None:
         self.logical = logical
-        self.capacity = capacity          # None = unbounded (ideal MSP)
-        size = capacity if capacity is not None else 16
-        self._stateid = [0] * size
-        self._value = [initial_value] * size
-        self._ready = [False] * size
-        self._uses = [0] * size
+        #: Most live entries; an unbounded bank never fills.
+        self.limit = capacity if capacity is not None else sys.maxsize
+        size = (UNBOUNDED_INITIAL_SIZE if capacity is None
+                else 1 << (capacity - 1).bit_length())
+        self.mask = size - 1
+        self.stateid = [0] * size
+        self.value = [initial_value] * size
+        self.ready = [False] * size
+        self.uses = [0] * size
 
         # Slot 0 holds the initial architectural value at state 0.
-        self._value[0] = initial_value
-        self._ready[0] = True
+        self.ready[0] = True
         self.alloc = 1
         self.rel = 0
         self.freed = 0
-
-        self.allocations = 0
-        self.releases = 0
-
-    # ------------------------------------------------------------------ #
-    # Indexing.
-    # ------------------------------------------------------------------ #
-
-    def _idx(self, mono: int) -> int:
-        if self.capacity is None:
-            return mono
-        return mono % self.capacity
-
-    def _grow_to(self, mono: int) -> None:
-        while mono >= len(self._stateid):
-            self._stateid.append(0)
-            self._value.append(0)
-            self._ready.append(False)
-            self._uses.append(0)
+        self.dirty: Set[int] = dirty if dirty is not None else set()
+        self.dirty.add(logical)
 
     # ------------------------------------------------------------------ #
     # Allocation / renaming.
@@ -78,8 +75,7 @@ class RegisterBank:
         return self.alloc - self.freed
 
     def is_full(self) -> bool:
-        return (self.capacity is not None
-                and self.live_entries >= self.capacity)
+        return self.alloc - self.freed >= self.limit
 
     def current_mono(self) -> int:
         """RenP: the most recent renaming of this logical register."""
@@ -87,69 +83,85 @@ class RegisterBank:
 
     def allocate(self, stateid: int) -> int:
         """Allocate the next physical register for a new renaming."""
-        if self.is_full():
+        mono = self.alloc
+        live = mono - self.freed
+        if live >= self.limit:
             raise RuntimeError(f"bank r{self.logical} full; "
                                "check is_full() first")
-        mono = self.alloc
-        if self.capacity is None:
-            self._grow_to(mono)
-        idx = self._idx(mono)
-        self._stateid[idx] = stateid
-        self._ready[idx] = False
-        self._uses[idx] = 0
-        self._value[idx] = None
+        if live > self.mask:
+            self._grow()
+        idx = mono & self.mask
+        self.stateid[idx] = stateid
+        self.ready[idx] = False
+        self.uses[idx] = 0
+        self.value[idx] = None
         self.alloc = mono + 1
-        self.allocations += 1
+        if self.rel == mono - 1:
+            self.dirty.add(self.logical)
         return mono
+
+    def _grow(self) -> None:
+        """Double an unbounded bank's ring, re-placing the live entries
+        at ``mono & new_mask`` in place."""
+        old = self.mask
+        new = 2 * old + 1
+        for col in (self.stateid, self.value, self.ready, self.uses):
+            fresh = col * 2
+            for mono in range(self.freed, self.alloc):
+                fresh[mono & new] = col[mono & old]
+            col[:] = fresh
+        self.mask = new
 
     # ------------------------------------------------------------------ #
     # Value / use tracking.
     # ------------------------------------------------------------------ #
 
     def is_ready(self, mono: int) -> bool:
-        return self._ready[self._idx(mono)]
+        return self.ready[mono & self.mask]
 
     def read(self, mono: int):
-        return self._value[self._idx(mono)]
+        return self.value[mono & self.mask]
 
     def write(self, mono: int, value) -> None:
-        idx = self._idx(mono)
-        self._value[idx] = value
-        self._ready[idx] = True
+        idx = mono & self.mask
+        self.value[idx] = value
+        self.ready[idx] = True
+        if mono == self.rel:
+            self.dirty.add(self.logical)
 
     def add_use(self, mono: int) -> None:
         """A dependent instruction dispatched (sets its RelIQ use bit)."""
-        self._uses[self._idx(mono)] += 1
+        self.uses[mono & self.mask] += 1
 
     def consume(self, mono: int) -> None:
         """A dependent read the value (clears its use bit)."""
-        idx = self._idx(mono)
-        if self._uses[idx] <= 0:
+        idx = mono & self.mask
+        uses = self.uses[idx] - 1
+        if uses < 0:
             raise AssertionError(
                 f"use-count underflow on r{self.logical}.{mono}")
-        self._uses[idx] -= 1
-
-    def stateid_of(self, mono: int) -> int:
-        return self._stateid[self._idx(mono)]
+        self.uses[idx] = uses
+        if not uses and mono == self.rel:
+            self.dirty.add(self.logical)
 
     # ------------------------------------------------------------------ #
     # RelP advance and the LCS contribution (Sec. 3.2.2).
     # ------------------------------------------------------------------ #
 
-    def _releasable(self, mono: int, outstanding: Dict[int, int]) -> bool:
-        idx = self._idx(mono)
-        if not self._ready[idx] or self._uses[idx]:
-            return False
-        return outstanding.get(self._stateid[idx], 0) == 0
-
     def advance_rel(self, outstanding: Dict[int, int]) -> None:
         """Move RelP to the first entry that cannot be released."""
-        while (self.rel < self.alloc - 1
-               and self._releasable(self.rel, outstanding)):
-            self.rel += 1
+        rel, last, mask = self.rel, self.alloc - 1, self.mask
+        stateid, ready, uses = self.stateid, self.ready, self.uses
+        while rel < last:
+            idx = rel & mask
+            if not ready[idx] or uses[idx] or outstanding.get(stateid[idx]):
+                break
+            rel += 1
+        self.rel = rel
 
-    def lcs_candidate(self, outstanding: Dict[int, int]) -> Optional[int]:
-        """This bank's input to the LCS min-tree.
+    def lcs_candidate(self, outstanding: Dict[int, int]) -> int:
+        """This bank's input to the LCS min-tree: the StateId at RelP,
+        or :data:`~repro.core.lcs.EXCLUDED`.
 
         The special condition of Sec. 3.2.2: when RenP == RelP the bank
         is excluded from the LCS computation once the entry's value has
@@ -168,12 +180,13 @@ class RegisterBank:
         entry's own state: value produced and same-state instructions
         complete.
         """
-        if self.rel == self.alloc - 1:
-            idx = self._idx(self.rel)
-            if (self._ready[idx]
-                    and outstanding.get(self._stateid[idx], 0) == 0):
-                return None
-        return self._stateid[self._idx(self.rel)]
+        rel = self.rel
+        idx = rel & self.mask
+        stateid = self.stateid[idx]
+        if (rel == self.alloc - 1 and self.ready[idx]
+                and not outstanding.get(stateid)):
+            return EXCLUDED
+        return stateid
 
     # ------------------------------------------------------------------ #
     # Commit-time release and recovery (Secs. 3.2.1, 3.5).
@@ -188,31 +201,30 @@ class RegisterBank:
         "release if StateId < LCS unless it is the last such register"
         rule, stated in terms of the implicit Upper StateId.
         """
-        reclaimed = 0
-        while (self.freed < self.rel
-               and self._stateid[self._idx(self.freed + 1)]
-               <= committed_stateid):
-            self.freed += 1
-            reclaimed += 1
-        self.releases += reclaimed
-        return reclaimed
+        start = freed = self.freed
+        rel, mask, stateid = self.rel, self.mask, self.stateid
+        while freed < rel and stateid[(freed + 1) & mask] <= committed_stateid:
+            freed += 1
+        self.freed = freed
+        return freed - start
 
     def rollback(self, recovery_stateid: int) -> int:
         """Release every entry with Lower StateId > the Recovery StateId
         (Sec. 3.5) and restore RenP to the surviving mapping."""
-        dropped = 0
-        while (self.alloc - self.freed > 0
-               and self._stateid[self._idx(self.alloc - 1)]
-               > recovery_stateid):
-            self.alloc -= 1
-            dropped += 1
-        if self.alloc == self.freed:
+        start = alloc = self.alloc
+        mask, stateid = self.mask, self.stateid
+        while alloc > self.freed and stateid[(alloc - 1) & mask] \
+                > recovery_stateid:
+            alloc -= 1
+        if alloc == self.freed:
             raise AssertionError(
                 f"bank r{self.logical} emptied by rollback to state "
                 f"{recovery_stateid}; release rule violated")
-        if self.rel > self.alloc - 1:
-            self.rel = self.alloc - 1
-        return dropped
+        self.alloc = alloc
+        if self.rel > alloc - 1:
+            self.rel = alloc - 1
+        self.dirty.add(self.logical)
+        return start - alloc
 
     def __repr__(self) -> str:
         return (f"RegisterBank(r{self.logical}, live={self.live_entries}, "

@@ -8,6 +8,8 @@ simulator itself across PRs.  Four modes run the same workload/machine:
 * ``ff+warmup``   — ``run_fast`` with the warm-up engine fused in
   (what fast-forward actually costs);
 * ``detailed``    — the cycle-level core (full-detail cost);
+* ``detailed-msp16`` — the same harness and budget on the paper's
+  16-SP machine (LCS-driven commit over per-register banks);
 * ``sampled``     — the complete sampled engine (periodic windows),
   reported as *represented* instructions per second;
 * ``simpoint``    — the sampled engine under SimPoint phase
@@ -44,16 +46,17 @@ from typing import Dict, List, Optional, Sequence
 SCHEMA = "repro-bench-throughput/1"
 
 #: Mode names in canonical order.
-MODES = ("emulator", "ff+warmup", "detailed", "sampled", "simpoint",
-         "campaign-amortized")
+MODES = ("emulator", "ff+warmup", "detailed", "detailed-msp16", "sampled",
+         "simpoint", "campaign-amortized")
 REFERENCE_MODES = ("emulator-ref", "ff+warmup-ref")
 
 #: The modes the CI regression gate watches (the PR-over-PR trajectory
 #: this subsystem exists to protect): the fast-forward path since PR 3,
-#: the detailed cycle cores since the event-scheduler PR, and the two
-#: end-to-end sampled engines since the simpoint PR.
-GATED_MODES = ("ff+warmup", "detailed", "sampled", "simpoint",
-               "campaign-amortized")
+#: the detailed cycle cores since the event-scheduler PR, the two
+#: end-to-end sampled engines since the simpoint PR, and the 16-SP
+#: detailed core since the incremental-LCS change.
+GATED_MODES = ("ff+warmup", "detailed", "detailed-msp16", "sampled",
+               "simpoint", "campaign-amortized")
 #: Backwards-compatible alias (the historical single gated mode).
 GATED_MODE = "ff+warmup"
 
@@ -81,6 +84,14 @@ MIN_CAMPAIGN_AMORTIZATION = 2.0
 #: interpreter's performance work, not that it never regresses alone.
 MAX_DETAILED_SLOWDOWN_VS_EMULATOR = 42.0
 
+#: The same ceiling for ``detailed-msp16``: the record that added the
+#: mode measured ~111x, the code before the incremental LCS ~136x.
+MAX_DETAILED_MSP16_SLOWDOWN_VS_EMULATOR = 125.0
+DETAILED_SLOWDOWN_CEILINGS = {
+    "detailed": MAX_DETAILED_SLOWDOWN_VS_EMULATOR,
+    "detailed-msp16": MAX_DETAILED_MSP16_SLOWDOWN_VS_EMULATOR,
+}
+
 
 def git_sha() -> str:
     """The repository HEAD this measurement describes (``unknown``
@@ -94,8 +105,10 @@ def git_sha() -> str:
         return "unknown"
 
 
-def _tage_config():
+def _tage_config(mode: str = "detailed"):
     from repro.sim.config import SimConfig
+    if mode == "detailed-msp16":
+        return SimConfig.msp(16, predictor="tage")
     return SimConfig.baseline(predictor="tage")
 
 
@@ -114,7 +127,7 @@ def measure_mode(mode: str, workload: str, emulate_n: int, detail_n: int,
 
     program = get_program(workload)
     program.decoded          # predecode outside the timed region
-    config = _tage_config()
+    config = _tage_config(mode)
 
     if mode == "emulator":
         emulator = Emulator(program)
@@ -142,7 +155,7 @@ def measure_mode(mode: str, workload: str, emulate_n: int, detail_n: int,
         result = emulator.run(max_instructions=emulate_n)
         elapsed = time.perf_counter() - t0
         retired = result.retired
-    elif mode == "detailed":
+    elif mode in DETAILED_SLOWDOWN_CEILINGS:
         from repro.obs import PhaseProfile
         prof = PhaseProfile()
         t0 = time.perf_counter()
@@ -398,9 +411,10 @@ def check_campaign_amortization(current: dict) -> Optional[str]:
     return None
 
 
-def check_detailed_slowdown(current: dict) -> Optional[str]:
-    """Failure message when the record's detailed core runs more than
-    :data:`MAX_DETAILED_SLOWDOWN_VS_EMULATOR` x slower than the
+def check_detailed_slowdown(current: dict,
+                            mode: str = "detailed") -> Optional[str]:
+    """Failure message when the record's detailed ``mode`` runs more
+    than its :data:`DETAILED_SLOWDOWN_CEILINGS` x slower than the
     emulator measured in the same record, else None (absence of either
     mode is not a failure — e.g. a partial or --ref-only record).
 
@@ -409,7 +423,7 @@ def check_detailed_slowdown(current: dict) -> Optional[str]:
     codegen-compile cost the detailed leg pays and the emulator leg
     does not: a small ``-n`` smoke run is not a regression signal."""
     modes = current.get("modes", {})
-    detailed = modes.get("detailed", {}).get("instructions_per_second")
+    detailed = modes.get(mode, {}).get("instructions_per_second")
     emulator = modes.get("emulator", {}).get("instructions_per_second")
     if not detailed or not emulator:
         return None
@@ -417,10 +431,10 @@ def check_detailed_slowdown(current: dict) -> Optional[str]:
     if budget is not None and budget < 10_000:
         return None
     slowdown = emulator / detailed
-    if slowdown > MAX_DETAILED_SLOWDOWN_VS_EMULATOR:
-        return (f"detailed-core relative cost regressed: "
-                f"{slowdown:.1f}x slower than the emulator (ceiling "
-                f"{MAX_DETAILED_SLOWDOWN_VS_EMULATOR:.1f}x)")
+    ceiling = DETAILED_SLOWDOWN_CEILINGS[mode]
+    if slowdown > ceiling:
+        return (f"{mode} relative cost regressed: {slowdown:.1f}x "
+                f"slower than the emulator (ceiling {ceiling:.1f}x)")
     return None
 
 
@@ -445,9 +459,10 @@ def check_regressions(current: dict, baseline: dict,
     amortization_failure = check_campaign_amortization(current)
     if amortization_failure is not None:
         failures.append(amortization_failure)
-    slowdown_failure = check_detailed_slowdown(current)
-    if slowdown_failure is not None:
-        failures.append(slowdown_failure)
+    for mode in DETAILED_SLOWDOWN_CEILINGS:
+        slowdown_failure = check_detailed_slowdown(current, mode)
+        if slowdown_failure is not None:
+            failures.append(slowdown_failure)
     return failures
 
 
@@ -482,7 +497,9 @@ def format_table(record: dict) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["GATED_MODE", "GATED_MODES", "MAX_DETAILED_SLOWDOWN_VS_EMULATOR",
+__all__ = ["DETAILED_SLOWDOWN_CEILINGS", "GATED_MODE", "GATED_MODES",
+           "MAX_DETAILED_MSP16_SLOWDOWN_VS_EMULATOR",
+           "MAX_DETAILED_SLOWDOWN_VS_EMULATOR",
            "MIN_CAMPAIGN_AMORTIZATION",
            "MIN_SIMPOINT_DETAIL_REDUCTION", "MODES", "REFERENCE_MODES",
            "SCHEMA", "check_campaign_amortization",

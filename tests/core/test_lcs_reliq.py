@@ -4,36 +4,46 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import LCSUnit, RelIQMatrix
+from repro.core.lcs import EXCLUDED
+
+
+def lcs_unit(delay, leaves):
+    """An LCS unit whose per-bank leaves hold ``leaves``."""
+    lcs = LCSUnit(delay=delay, banks=len(leaves))
+    lcs.leaves[:] = leaves
+    return lcs
 
 
 def test_lcs_zero_delay_passes_through():
-    lcs = LCSUnit(delay=0)
-    assert lcs.step([5, 3, 7], all_quiescent_value=99) == 3
+    lcs = lcs_unit(0, [5, 3, 7])
+    assert lcs.step(all_quiescent_value=99) == 3
 
 
-def test_lcs_excludes_none_candidates():
-    lcs = LCSUnit(delay=0)
-    assert lcs.step([None, 4, None], all_quiescent_value=99) == 4
+def test_lcs_excludes_excluded_leaves():
+    lcs = lcs_unit(0, [EXCLUDED, 4, EXCLUDED])
+    assert lcs.step(all_quiescent_value=99) == 4
 
 
 def test_lcs_all_quiescent_uses_fallback():
-    lcs = LCSUnit(delay=0)
-    assert lcs.step([None, None], all_quiescent_value=42) == 42
+    lcs = lcs_unit(0, [EXCLUDED, EXCLUDED])
+    assert lcs.step(all_quiescent_value=42) == 42
 
 
 def test_lcs_delay_pipeline():
-    lcs = LCSUnit(delay=2)
-    assert lcs.step([10], 0) == 0    # pipe priming
-    assert lcs.step([20], 0) == 0
-    assert lcs.step([30], 0) == 10   # first real value emerges
-    assert lcs.step([40], 0) == 20
+    lcs = lcs_unit(2, [10])
+    assert lcs.step(0) == 0          # pipe priming
+    lcs.leaves[0] = 20
+    assert lcs.step(0) == 0
+    lcs.leaves[0] = 30
+    assert lcs.step(0) == 10         # first real value emerges
+    lcs.leaves[0] = 40
+    assert lcs.step(0) == 20
 
 
-def test_lcs_flush_refills_pipe():
-    lcs = LCSUnit(delay=1)
-    lcs.step([50], 0)
-    lcs.flush(7)
-    assert lcs.step([60], 0) == 7
+def test_lcs_leaves_start_excluded():
+    lcs = LCSUnit(delay=0, banks=64)
+    assert lcs.leaves == [EXCLUDED] * 64
+    assert lcs.step(all_quiescent_value=7) == 7
 
 
 def test_lcs_rejects_negative_delay():

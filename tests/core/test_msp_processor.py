@@ -1,7 +1,10 @@
 """MSP processor behaviour tests (precise recovery, banks, commit)."""
 
+from repro.core import RegisterBank
+from repro.core.sct import UNBOUNDED_INITIAL_SIZE
 from repro.isa import Emulator, ProgramBuilder, int_reg
 from repro.sim import SimConfig, build_core
+from repro.workloads import get_program
 
 
 def run_msp(program, budget=600, **overrides):
@@ -56,6 +59,29 @@ def test_ideal_msp_has_no_bank_stalls(fp_chain_program):
     stats = core.run(max_instructions=500)
     assert not stats.bank_stall_cycles
     assert stats.dispatch_stall_cycles.get("bank_full", 0) == 0
+
+
+def test_ideal_bank_storage_tracks_peak_live_entries(monkeypatch):
+    """Unbounded banks are rings that double on demand, so storage stays
+    within 2x each bank's peak live entries instead of growing by one
+    slot per allocation."""
+    peak = {}
+    allocate = RegisterBank.allocate
+
+    def tracked(bank, stateid):
+        mono = allocate(bank, stateid)
+        peak[bank.logical] = max(peak.get(bank.logical, 1),
+                                 bank.live_entries)
+        return mono
+
+    monkeypatch.setattr(RegisterBank, "allocate", tracked)
+    core = build_core(get_program("gzip"), SimConfig.msp_ideal())
+    stats = core.run(max_instructions=20_000)
+    assert stats.committed >= 20_000
+    assert any(bank.alloc > len(bank.stateid) for bank in core.banks)
+    for bank in core.banks:
+        assert len(bank.stateid) <= max(UNBOUNDED_INITIAL_SIZE,
+                                        2 * peak.get(bank.logical, 1))
 
 
 def test_arbitration_stage_costs_cycles(sum_loop_program):

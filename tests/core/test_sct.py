@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RegisterBank
+from repro.core.lcs import EXCLUDED
 
 
 def make_bank(capacity=4):
@@ -75,13 +76,13 @@ def test_relp_stops_on_outstanding_state_instructions():
 
 def test_lcs_candidate_excludes_quiescent_bank():
     bank = make_bank()
-    assert bank.lcs_candidate({}) is None          # idle initial bank
+    assert bank.lcs_candidate({}) == EXCLUDED      # idle initial bank
     mono = bank.allocate(7)
     assert bank.lcs_candidate({}) == 0             # rel still at entry 0
     bank.advance_rel({})
     assert bank.lcs_candidate({}) == 7             # value unproduced
     bank.write(mono, 1)
-    assert bank.lcs_candidate({}) is None          # produced + complete
+    assert bank.lcs_candidate({}) == EXCLUDED      # produced + complete
     assert bank.lcs_candidate({7: 2}) == 7         # same-state pending
 
 
@@ -93,7 +94,7 @@ def test_lcs_candidate_ignores_reader_uses_on_last_entry():
     bank.write(mono, 9)
     bank.advance_rel({})
     bank.add_use(mono)
-    assert bank.lcs_candidate({}) is None
+    assert bank.lcs_candidate({}) == EXCLUDED
 
 
 def test_free_up_to_respects_successor_commit():
@@ -167,6 +168,89 @@ def test_unbounded_bank_grows():
         bank.write(mono, stateid)
     assert not bank.is_full()
     assert bank.read(50) == 50
+
+
+def test_unbounded_ring_regrows_across_wrapped_entries():
+    bank = RegisterBank(logical=0, capacity=None)
+    # Retire-and-refill so live monos wrap the 16-slot ring, then grow
+    # it with the wrapped entries live.
+    for stateid in range(1, 30):
+        mono = bank.allocate(stateid)
+        bank.write(mono, stateid * 10)
+        bank.advance_rel({})
+        bank.free_up_to(stateid - 1)
+    assert bank.mask == 15
+    live = range(bank.freed, bank.alloc)
+    for stateid in range(30, 50):
+        bank.write(bank.allocate(stateid), stateid * 10)
+    assert bank.mask == 31 and bank.live_entries == 22
+    for mono in range(live[0], bank.alloc):
+        assert bank.read(mono) == mono * 10
+
+
+# --------------------------------------------------------------------- #
+# Dirty marking: the mutations that can move RelP or the LCS input.
+# --------------------------------------------------------------------- #
+
+
+def clean_bank(capacity=4):
+    bank = make_bank(capacity)
+    bank.dirty.clear()
+    return bank
+
+
+def test_new_bank_starts_dirty():
+    shared = set()
+    RegisterBank(logical=5, capacity=4, dirty=shared)
+    assert shared == {5}
+
+
+def test_allocate_marks_dirty_only_when_renp_is_relp():
+    bank = clean_bank()
+    bank.allocate(1)                 # RenP == RelP == 0 before
+    assert bank.dirty == {1}
+    bank.dirty.clear()
+    bank.allocate(2)                 # RelP (0) already behind RenP (1)
+    assert not bank.dirty
+
+
+def test_write_marks_dirty_only_at_relp():
+    bank = make_bank()
+    m1 = bank.allocate(1)
+    m2 = bank.allocate(2)
+    bank.advance_rel({})             # entry 0 released; RelP stops at m1
+    assert bank.rel == m1
+    bank.dirty.clear()
+    bank.write(m2, 7)
+    assert not bank.dirty
+    bank.write(m1, 5)
+    assert bank.dirty == {1}
+
+
+def test_last_consume_at_relp_marks_dirty():
+    bank = make_bank()
+    m1 = bank.allocate(1)
+    bank.allocate(2)
+    bank.write(m1, 5)
+    bank.add_use(m1)
+    bank.add_use(m1)
+    bank.advance_rel({})
+    assert bank.rel == m1            # uses pending
+    bank.dirty.clear()
+    bank.consume(m1)
+    assert not bank.dirty            # one use still pending
+    bank.consume(m1)
+    assert bank.dirty == {1}
+    bank.advance_rel({})
+    assert bank.rel == 2
+
+
+def test_rollback_marks_dirty():
+    bank = make_bank(capacity=8)
+    bank.allocate(1)
+    bank.dirty.clear()
+    bank.rollback(recovery_stateid=1)    # drops nothing
+    assert bank.dirty == {1}
 
 
 @settings(max_examples=60)

@@ -185,6 +185,38 @@ def test_detailed_slowdown_ceiling():
     assert len(failures) == 1 and "ceiling" in failures[0]
 
 
+def test_detailed_msp16_slowdown_ceiling():
+    """The 16-SP detailed core has its own slowdown-vs-emulator ceiling
+    (incremental-LCS change): the ratio measured before that change
+    must fail it, the ratio after it must pass, and it gates only its
+    own mode."""
+    assert "detailed-msp16" in bench.GATED_MODES
+
+    def record(emulator, msp16):
+        return {"workload": "gzip", "budgets": {"detail": 20_000},
+                "modes": {
+                    "emulator": {"instructions_per_second": emulator},
+                    "detailed-msp16": {"instructions_per_second": msp16}}}
+
+    ceiling = bench.MAX_DETAILED_MSP16_SLOWDOWN_VS_EMULATOR
+    assert bench.DETAILED_SLOWDOWN_CEILINGS["detailed-msp16"] == ceiling
+    before, after = 136.0, 111.0     # before / after the incremental LCS
+    assert after < ceiling < before
+    assert bench.check_detailed_slowdown(
+        record(2_500_000.0, 2_500_000.0 / after), "detailed-msp16") is None
+    failure = bench.check_detailed_slowdown(
+        record(2_500_000.0, 2_500_000.0 / before), "detailed-msp16")
+    assert failure is not None and "detailed-msp16" in failure \
+        and "ceiling" in failure
+    # The baseline's check ignores the 16-SP cell, and the aggregate
+    # gate reports the 16-SP failure once.
+    assert bench.check_detailed_slowdown(
+        record(2_500_000.0, 2_500_000.0 / before)) is None
+    failures = bench.check_regressions(
+        record(2_500_000.0, 2_500_000.0 / before), {"modes": {}})
+    assert len(failures) == 1 and "detailed-msp16" in failures[0]
+
+
 def test_measure_annotates_simpoint_reduction():
     from repro.sim.bench import _annotate_simpoint_reduction
     record = {"budgets": {"sampled": 100_000}, "modes": {
