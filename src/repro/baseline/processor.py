@@ -23,7 +23,7 @@ from repro.branch.tage import TagePredictor
 from repro.isa.registers import NUM_INT_REGS, NUM_LOGICAL_REGS, is_int_reg
 from repro.isa.semantics import effective_address
 from repro.pipeline.core_base import FAULT_NONE, OutOfOrderCore, \
-    _ADDR_MASK, _FLD, _HALT
+    _ADDR_MASK, _HALT
 from repro.pipeline.stats import SimStats
 
 
@@ -33,9 +33,6 @@ class BaselineProcessor(OutOfOrderCore):
     #: ROB 128 + fetch buffer 16 + fetch width bounds the live seq span,
     #: so a small ring suffices (it grows on demand regardless).
     window_capacity = 256
-
-    #: Exec codegen reads operands straight out of ``phys_value``.
-    codegen_flavor = "direct"
 
     def __init__(self, program, config) -> None:
         super().__init__(program, config)
@@ -175,11 +172,9 @@ class BaselineProcessor(OutOfOrderCore):
     def run(self, max_instructions: int = 50_000,
             max_cycles: Optional[int] = None) -> SimStats:
         # The fused loop inlines the common per-cycle path; runs that
-        # need the rare machinery (exception injection, commit tracing,
-        # telemetry hooks) or the scan oracle take the generic
-        # stage-method loop.
+        # need the rare machinery (exception injection, telemetry
+        # hooks) or the scan oracle take the generic stage-method loop.
         if (not self._sched_event or self.exception_plan
-                or self.commit_trace is not None
                 or self.tracer is not None
                 or self._metrics is not None):
             return super().run(max_instructions, max_cycles)
@@ -196,18 +191,17 @@ class BaselineProcessor(OutOfOrderCore):
         ``rename`` specialised for this machine's flat register file,
         with the per-instruction virtual calls flattened into plain
         column indexing — the same fused-hot-loop treatment the
-        emulator's ``run_fast`` got.  Behaviour must stay bit-identical
-        to the generic loop: the scheduler-equivalence tests run this
-        exact path against the scan oracle.
+        emulator's ``run_fast`` got.  Instructions execute through the
+        shared ``_execute``.  Behaviour must stay bit-identical to the
+        generic loop: the scheduler-equivalence tests run this exact
+        path against the scan oracle, and the emulator-oracle tests
+        compare its ``commit_trace``.
         """
         cycle_cap = max_cycles if max_cycles is not None \
             else max_instructions * 200 + 100_000
         stats = self.stats
-        if not self._codegen_built:
-            self._maybe_build_codegen()
-        # Window growth rebuilds the closures *in place*
-        # (``_exec_fns[:] = ...``), so the local binding stays live.
-        exec_fns = self._exec_fns
+        execute = self._execute
+        commit_trace = self.commit_trace
         fetch = self.fetch
         buffer = fetch.buffer
         in_flight = self.in_flight
@@ -221,18 +215,9 @@ class BaselineProcessor(OutOfOrderCore):
         int_free = self.int_free
         fp_free = self.fp_free
         sq = self.sq
-        sq_entries = sq._entries
         sq_unknown = sq._unknown_addr
         sq_pending = sq._pending_data
         lb = self.load_buffer
-        memory = self.memory
-        load_latency = self.hierarchy.load_latency
-        dcache = self.hierarchy.dcache
-        dc_sets = dcache._sets
-        dc_line_shift = dcache._line_shift
-        dc_set_mask = dcache.set_mask
-        dc_set_bits = dcache._set_bits
-        dcache_hit_cycles = self.hierarchy.dcache_hit
         fus = self.fus
         fu_used = fus._used
         fu_limits = fus._limits
@@ -245,7 +230,6 @@ class BaselineProcessor(OutOfOrderCore):
         budget = config.max_issue_scan
         commit_up_to = sq.commit_up_to
         commit_store_write = self.commit_store_write
-        sq_forward = sq.forward
         sq_execute = sq.execute
         sq_allocate = sq.allocate
         sq_set_address = sq.set_address
@@ -290,8 +274,7 @@ class BaselineProcessor(OutOfOrderCore):
         P_s0, P_s1, P_nsrc = dec.s0, dec.s1, dec.nsrc
         P_dest, P_wreg = dec.dest, dec.wreg
         P_imm, P_target = dec.imm, dec.target
-        P_fu, P_lat = dec.fu, dec.lat
-        P_eval, P_branch = dec.evalf, dec.branchf
+        P_fu = dec.fu
 
         # In-flight columns (indexed by seq & mask; the column *lists*
         # are stable across window growth — only the mask changes).
@@ -301,7 +284,7 @@ class BaselineProcessor(OutOfOrderCore):
         W_h0, W_h1, W_wc = w.h0, w.h1, w.wc
         W_dest, W_res, W_sval = w.dest, w.res, w.sval
         W_eic, W_pred, W_ptk, W_ptg = w.eic, w.pred, w.ptk, w.ptg
-        W_atk, W_atg, W_ma, W_se = w.atk, w.atg, w.ma, w.se
+        W_atk, W_ma, W_se = w.atk, w.ma, w.se
         W_fin = w.fin
         W_tag, W_ghr = w.tag, w.ghr
         oldest_live = self._oldest_live
@@ -326,6 +309,8 @@ class BaselineProcessor(OutOfOrderCore):
                         break
                     ordinal += 1
                     pc = W_pc[slot]
+                    if commit_trace is not None:
+                        commit_trace.append(pc)
                     kind = P_kind[pc]
                     if kind == 4:
                         lb.occupied -= 1
@@ -467,8 +452,7 @@ class BaselineProcessor(OutOfOrderCore):
                     kind = P_kind[pc]
                     if kind == 4:
                         # Address memo (see _issue_stage_event): computed
-                        # once, reused across blocked re-visits and by
-                        # the codegen closure below.
+                        # once, reused across blocked re-visits.
                         addr = W_ma[slot]
                         if addr < 0:
                             base = phys_value[W_h0[slot]]
@@ -503,81 +487,17 @@ class BaselineProcessor(OutOfOrderCore):
                     W_st[slot] = st | 1
                     issued += 1
                     fu_used[code] = fu_used[code] + 1
-                    if exec_fns is not None:
-                        # Per-static-instruction codegen closure: operand
-                        # reads, semantics, latency and the completion
-                        # push compiled into one call (no kind ladder).
-                        exec_fns[pc](s, slot, now)
+                    nsrc = P_nsrc[pc]
+                    finish = now + execute(
+                        s, slot, pc, kind,
+                        phys_value[W_h0[slot]] if nsrc else None,
+                        phys_value[W_h1[slot]] if nsrc == 2 else None)
+                    W_fin[slot] = finish
+                    fbucket = completions.get(finish)
+                    if fbucket is None:
+                        completions[finish] = [s]
                     else:
-                        # Generic inline ladder (config.codegen off).
-                        if kind == 0:
-                            nsrc = P_nsrc[pc]
-                            if nsrc == 2:
-                                values = (phys_value[W_h0[slot]],
-                                          phys_value[W_h1[slot]])
-                            elif nsrc:
-                                values = (phys_value[W_h0[slot]],)
-                            else:
-                                values = ()
-                            W_res[slot] = P_eval[pc](values, P_imm[pc])
-                            latency = P_lat[pc]
-                        elif kind == 1:
-                            if P_nsrc[pc] == 2:
-                                values = (phys_value[W_h0[slot]],
-                                          phys_value[W_h1[slot]])
-                            else:
-                                values = (phys_value[W_h0[slot]],)
-                            W_atk[slot] = taken = P_branch[pc](values)
-                            W_atg[slot] = P_target[pc] if taken else pc + 1
-                            latency = P_lat[pc]
-                        elif kind == 4:
-                            if sq_entries:
-                                forwarded, penalty = sq_forward(addr, s)
-                            else:
-                                forwarded = None
-                            is_fld = P_code[pc] == _FLD
-                            if forwarded is not None:
-                                W_res[slot] = (float(forwarded) if is_fld
-                                               else forwarded)
-                                latency = 1 + penalty
-                            else:
-                                value = memory.get(addr, 0)
-                                W_res[slot] = (float(value) if is_fld
-                                               else value)
-                                # D-cache hit path, inline (Cache.access).
-                                line = (addr << 3) >> dc_line_shift
-                                tag = line >> dc_set_bits
-                                lines = dc_sets[line & dc_set_mask]
-                                if tag in lines:
-                                    dcache.hits += 1
-                                    lines.move_to_end(tag)
-                                    latency = dcache_hit_cycles
-                                else:
-                                    latency = load_latency(addr)
-                        elif kind == 5:
-                            base = phys_value[W_h1[slot]]
-                            W_sval[slot] = phys_value[W_h0[slot]]
-                            if type(base) is int:
-                                W_ma[slot] = (base + P_imm[pc]) & _ADDR_MASK
-                            else:
-                                W_ma[slot] = effective_address(base,
-                                                               P_imm[pc])
-                            latency = 1
-                        elif kind == 2:
-                            W_atk[slot] = True
-                            W_atg[slot] = P_target[pc]
-                            latency = P_lat[pc]
-                        else:
-                            W_atk[slot] = True
-                            W_atg[slot] = int(phys_value[W_h0[slot]])
-                            latency = P_lat[pc]
-                        finish = now + latency
-                        W_fin[slot] = finish
-                        fbucket = completions.get(finish)
-                        if fbucket is None:
-                            completions[finish] = [s]
-                        else:
-                            fbucket.append(s)
+                        fbucket.append(s)
                     slots -= 1
                     if slots <= 0:
                         break
@@ -860,7 +780,6 @@ class BaselineProcessor(OutOfOrderCore):
         target = w.atg[slot]
         squashed = self.squash_after(seq, seq)
         self._release_squashed(squashed)
-        # In place: the codegen'd closures bind the RAT list itself.
         self.rat[:] = w.tag[slot]
         self.fetch.redirect(target, now)
 

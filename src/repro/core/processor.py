@@ -45,10 +45,6 @@ class MSPProcessor(OutOfOrderCore):
     #: so start the ring larger (it still grows on demand).
     window_capacity = 2048
 
-    #: Exec codegen binds the static source *bank objects* as defaults
-    #: and runs ``bank.consume(mono); bank.read(mono)`` per operand.
-    codegen_flavor = "banked"
-
     def __init__(self, program, config) -> None:
         super().__init__(program, config)
         self.extra_dispatch_delay = 1 if config.arbitration else 0

@@ -34,7 +34,7 @@ class DecodedProgram:
 
     __slots__ = ("size", "code", "s0", "s1", "dest", "imm", "target",
                  "insts", "has_wild_targets", "kind", "fu", "lat",
-                 "nsrc", "wreg", "evalf", "branchf", "_codegen_cache")
+                 "nsrc", "wreg", "evalf", "branchf")
 
     def __init__(self, instructions: Sequence[Instruction]) -> None:
         self.insts: List[Instruction] = list(instructions)
@@ -58,9 +58,6 @@ class DecodedProgram:
         self.wreg = [inst.writes_reg for inst in self.insts]
         self.evalf = [inst.eval_fn for inst in self.insts]
         self.branchf = [inst.branch_fn for inst in self.insts]
-        #: Compiled exec-closure builders, filled lazily by
-        #: :mod:`repro.pipeline.codegen` (keyed by flavor+semantics fp).
-        self._codegen_cache: Optional[Dict] = None
         #: A negative *static* target would wrap Python's list indexing
         #: in the fast loop (the reference path treats it as PC
         #: fall-off); such programs can't come from ProgramBuilder, so

@@ -27,17 +27,14 @@ Capacity is checked once per fetch group against a cached *barrier*
 core recompute the true oldest live seq and, if the span genuinely
 exceeds capacity, :meth:`grow` doubles the ring — re-placing every
 column entry at ``seq & new_mask`` *in place* (``col[:] = new``), so
-closures that bound a column as an argument default keep seeing live
-storage.  The mask itself cannot be updated in place, so growth fires
-the registered ``on_grow`` callbacks and any codegen'd closures that
-baked the old mask are regenerated.  ``REPRO_WINDOW_CAP`` forces a tiny
+loops that bound a column as a local (the baseline's fused run loop
+holds them for the whole run) keep seeing live storage; they re-read
+``mask`` after a growth check.  ``REPRO_WINDOW_CAP`` forces a tiny
 initial capacity so tests and the fuzz harness exercise the growth
 path on ordinary programs.
 """
 
 from __future__ import annotations
-
-from typing import Callable, List
 
 from repro.defaults import env_int
 
@@ -98,7 +95,7 @@ class InflightWindow:
     """Ring-buffered SoA state for all in-flight instructions."""
 
     __slots__ = tuple(COLUMNS) + ("capacity", "mask", "grow_barrier",
-                                  "grows", "_on_grow")
+                                  "grows")
 
     def __init__(self, capacity: int = 1024) -> None:
         capacity = _window_capacity(capacity)
@@ -107,7 +104,6 @@ class InflightWindow:
         #: Fetch may mint seqs below this without an oldest-live check.
         self.grow_barrier = capacity
         self.grows = 0
-        self._on_grow: List[Callable[[], None]] = []
         self.sq = [-1] * capacity
         self.pc = [0] * capacity
         self.st = [0] * capacity
@@ -132,11 +128,6 @@ class InflightWindow:
 
     # ------------------------------------------------------------------ #
 
-    def add_on_grow(self, callback: Callable[[], None]) -> None:
-        """Register a callback fired after every capacity doubling
-        (codegen'd closures bake the mask and must be rebuilt)."""
-        self._on_grow.append(callback)
-
     def ensure_room(self, oldest_live: int, limit: int) -> None:
         """Grow until the ring spans ``[oldest_live, limit)``; refresh
         the barrier either way.  Called only when fetch crosses
@@ -157,10 +148,8 @@ class InflightWindow:
                 s = old_sq[slot]
                 if s >= 0:
                     fresh[s & new_mask] = col[slot]
-            # In place: closures bound the list object itself.
+            # In place: run loops bind the list object as a local.
             col[:] = fresh
         self.capacity = new_cap
         self.mask = new_mask
         self.grows += 1
-        for callback in self._on_grow:
-            callback()

@@ -94,13 +94,20 @@ DETAILED_SLOWDOWN_CEILINGS = {
 
 
 def git_sha() -> str:
-    """The repository HEAD this measurement describes (``unknown``
-    outside a git checkout)."""
+    """The repository HEAD this measurement describes, suffixed
+    ``-dirty`` when tracked files carry uncommitted edits (the record
+    then describes no commit exactly); ``unknown`` outside a git
+    checkout."""
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"],
                              capture_output=True, text=True, timeout=10)
         sha = out.stdout.strip()
-        return sha if out.returncode == 0 and sha else "unknown"
+        if out.returncode != 0 or not sha:
+            return "unknown"
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, text=True, timeout=10)
+        return sha + "-dirty" if status.stdout.strip() else sha
     except OSError:
         return "unknown"
 
@@ -419,9 +426,9 @@ def check_detailed_slowdown(current: dict,
     mode is not a failure — e.g. a partial or --ref-only record).
 
     Like the two ratio floors above, the ceiling only applies at
-    detail budgets large enough to amortize the fixed core-build and
-    codegen-compile cost the detailed leg pays and the emulator leg
-    does not: a small ``-n`` smoke run is not a regression signal."""
+    detail budgets large enough to amortize the fixed core-build cost
+    the detailed leg pays and the emulator leg does not: a small
+    ``-n`` smoke run is not a regression signal."""
     modes = current.get("modes", {})
     detailed = modes.get(mode, {}).get("instructions_per_second")
     emulator = modes.get("emulator", {}).get("instructions_per_second")
@@ -468,8 +475,10 @@ def check_regressions(current: dict, baseline: dict,
 
 def format_table(record: dict) -> str:
     """One aligned line per measured mode, for the CLI."""
-    lines = [f"workload {record['workload']}  git {record['git_sha'][:12]}"
-             f"  budgets {record['budgets']}"]
+    sha = record["git_sha"]
+    dirty = "-dirty" if sha.endswith("-dirty") else ""
+    lines = [f"workload {record['workload']}  "
+             f"git {sha[:12]}{dirty}  budgets {record['budgets']}"]
     for mode, row in record["modes"].items():
         extra = ""
         if "detail_instructions" in row:

@@ -26,9 +26,8 @@ MACHINES = {
 }
 
 
-def _trace(workload: str, make, scheduler: str, n: int = 1500, **kw):
-    core = build_core(get_program(workload),
-                      make(scheduler=scheduler, **kw))
+def _trace(workload: str, make, scheduler: str, n: int = 1500):
+    core = build_core(get_program(workload), make(scheduler=scheduler))
     tracer = PipelineTracer()
     core.attach_tracer(tracer)
     stats = core.run(max_instructions=n)
@@ -51,18 +50,3 @@ def test_event_scan_kanata_byte_identical(workload, machine):
     assert scan_text.startswith(KANATA_HEADER)
     assert event_text == scan_text, _first_diff(scan_text, event_text)
     assert event_stats == scan_stats
-
-
-@pytest.mark.parametrize("machine", sorted(MACHINES))
-def test_codegen_ladder_kanata_byte_identical(machine):
-    """The per-static-instruction codegen closures drive the event
-    scheduler's issue path; with them disabled the generic kind ladder
-    runs instead.  Both must serialize the same Kanata stream — and
-    match the scan oracle, which never uses codegen."""
-    make = MACHINES[machine]
-    scan_text, scan_stats = _trace("gzip", make, "scan")
-    on_text, on_stats = _trace("gzip", make, "event", codegen=True)
-    off_text, off_stats = _trace("gzip", make, "event", codegen=False)
-    assert on_text == off_text, _first_diff(on_text, off_text)
-    assert on_text == scan_text, _first_diff(scan_text, on_text)
-    assert on_stats == off_stats == scan_stats

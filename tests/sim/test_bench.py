@@ -1,6 +1,8 @@
 """The throughput-bench library and the ``repro bench`` command."""
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
@@ -254,3 +256,34 @@ def test_cli_bench_check_needs_usable_baseline(tmp_path, capsys, content):
     assert len(bench_lines) == 1
     assert "repro bench --output" in bench_lines[0]
     assert not out.exists(), "failed --check must not write a record"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_sha_marks_uncommitted_tracked_edits(tmp_path, monkeypatch):
+    """A record measured on a tree with uncommitted edits to tracked
+    files names the commit *and* says it is dirty, in the record and
+    in the printed table; untracked files do not count."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=b@x",
+             *args], cwd=tmp_path, check=True, capture_output=True,
+            text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "tracked.py").write_text("x = 1\n")
+    git("add", "tracked.py")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    monkeypatch.chdir(tmp_path)
+
+    (tmp_path / "untracked.json").write_text("{}")
+    assert bench.git_sha() == head
+    record = {"workload": "gzip", "git_sha": head, "budgets": {},
+              "modes": {}}
+    assert "-dirty" not in bench.format_table(record)
+
+    (tmp_path / "tracked.py").write_text("x = 2\n")
+    sha = bench.git_sha()
+    assert sha == head + "-dirty"
+    record["git_sha"] = sha
+    assert f"git {head[:12]}-dirty " in bench.format_table(record)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.sim import SimConfig
+from repro.sim.campaign.job import Job
 
 
 def _perturbed_value(config, field):
@@ -37,11 +38,9 @@ def test_equal_configs_share_cache_key():
 def test_every_field_perturbs_cache_key(field):
     base = SimConfig.msp(16)
     changed = base.with_(**{field.name: _perturbed_value(base, field)})
-    if field.name in ("label_override", "codegen"):
-        # label_override is presentation-only and codegen is a
-        # bit-identical-by-contract implementation toggle: the same
-        # machine under a different display label or exec backend must
-        # share cache entries.
+    if field.name == "label_override":
+        # Presentation-only: the same machine under a different
+        # display label must share cache entries.
         assert changed.cache_key() == base.cache_key()
     else:
         assert changed.cache_key() != base.cache_key()
@@ -63,24 +62,36 @@ def test_from_dict_ignores_unknown_keys():
     assert SimConfig.from_dict(data) == SimConfig.baseline()
 
 
-def test_from_dict_defaults_codegen_for_old_payloads():
-    """A result dict serialized before the ``codegen`` field existed
-    (PR 8 era) must load with codegen enabled, be equal to a
-    freshly-built config, and land on the same cache key — so old
-    checkpoint/profile store entries stay addressable."""
-    old = SimConfig.baseline(predictor="tage").to_dict()
-    del old["codegen"]                     # pre-field serialization
-    loaded = SimConfig.from_dict(old)
-    assert loaded.codegen is True
-    assert loaded == SimConfig.baseline(predictor="tage")
-    assert (loaded.cache_key()
-            == SimConfig.baseline(predictor="tage").cache_key())
-    # And the toggle itself round-trips when present.
-    off = SimConfig.baseline().with_(codegen=False)
-    clone = SimConfig.from_dict(json.loads(json.dumps(off.to_dict())))
-    assert clone.codegen is False
-    assert clone == off
-    assert clone.cache_key() == SimConfig.baseline().cache_key()
+#: ``cache_key()`` prefixes recorded while ``SimConfig`` still had a
+#: ``codegen`` field (which the key excluded): dropping the field must
+#: not move any stored result, checkpoint or profile.
+PINNED_KEY_PREFIXES = {
+    "baseline": (SimConfig.baseline, "238000e1b8d030cc"),
+    "cpr": (SimConfig.cpr, "80d6d7b2cab40b87"),
+    "msp16": (lambda: SimConfig.msp(16), "f1775dc75c4d1faa"),
+    "msp_ideal": (SimConfig.msp_ideal, "0f33a6150f4e16f4"),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(PINNED_KEY_PREFIXES))
+def test_payloads_with_retired_codegen_field_keep_their_key(machine):
+    """Spool, journal and store entries written before the ``codegen``
+    field was removed carry ``"codegen": false`` or ``true`` in their
+    config; both load through ``SimConfig.from_dict`` and
+    ``Job.from_dict`` onto today's config and key."""
+    make, prefix = PINNED_KEY_PREFIXES[machine]
+    config = make()
+    assert config.cache_key().startswith(prefix)
+    job = Job("gzip", config, 5000)
+    for flag in (False, True):
+        old = json.loads(json.dumps(config.to_dict()))
+        old["codegen"] = flag
+        loaded = SimConfig.from_dict(old)
+        assert loaded == config
+        assert loaded.cache_key() == config.cache_key()
+        old_job = job.to_dict()
+        old_job["config"] = old
+        assert Job.from_dict(old_job).cache_key() == job.cache_key()
 
 
 def test_key_is_order_independent():
