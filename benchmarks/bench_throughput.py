@@ -10,6 +10,7 @@ Four modes are measured on the same workload/machine via
 * ``ff+warmup``  — ``run_fast`` with the warm-up engine fused in
   (what fast-forward actually costs);
 * ``detailed``   — the cycle-level core (full-detail cost);
+* ``detailed-cpr`` — the same on the paper's CPR-192 comparator;
 * ``detailed-msp16`` — the same on the paper's 16-SP machine;
 * ``sampled``    — the complete sampled engine, reported as
   *represented* instructions per second (its whole point is that this
@@ -100,6 +101,10 @@ def test_throughput_fastforward_with_warmup(benchmark):
 
 def test_throughput_detailed(benchmark):
     _measure(benchmark, "detailed")
+
+
+def test_throughput_detailed_cpr(benchmark):
+    _measure(benchmark, "detailed-cpr")
 
 
 def test_throughput_detailed_msp16(benchmark):

@@ -71,6 +71,7 @@ from typing import List, Optional
 from repro.defaults import EnvConfigError, default_instructions, \
     default_sample_instructions
 from repro.obs import human_bytes, log
+from repro.pipeline.core_base import SimulationStalled
 from repro.sim import SimConfig, simulate
 from repro.sim import experiments as exp
 from repro.sim.campaign import CampaignError, CampaignInterrupted, \
@@ -836,6 +837,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # invariant violation must keep its traceback.
         log(f"error: {exc}", "error")
         return 2
+    except SimulationStalled as exc:
+        log(f"simulation stalled: {exc}", "error")
+        return 1
     except BrokenPipeError:
         # Piping into `head` is an advertised pattern (module docstring).
         # Point both standard streams at devnull so the shutdown flush

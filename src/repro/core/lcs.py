@@ -33,6 +33,7 @@ class LCSUnit:
         self.leaves = [EXCLUDED] * banks
         self._pipe: Deque[int] = deque([0] * delay)
         self._last_input: Optional[int] = None
+        self._last_output: Optional[int] = None
 
     def step(self, all_quiescent_value: int) -> int:
         """Reduce this cycle's leaves; return the *effective* LCS (the
@@ -46,18 +47,24 @@ class LCSUnit:
             lcs = all_quiescent_value
         self._last_input = lcs
         if self.delay == 0:
+            self._last_output = lcs
             return lcs
         self._pipe.append(lcs)
-        return self._pipe.popleft()
+        self._last_output = out = self._pipe.popleft()
+        return out
 
     @property
     def settled(self) -> bool:
         """True when stepping with unchanged bank state is a provable
-        no-op: every pipe stage already holds the value last fed, so the
-        effective LCS is constant and the shift leaves the pipe
-        untouched.  The event scheduler's idle skip requires this before
-        eliding MSP cycles in bulk."""
+        no-op: the last step already returned the value it fed and
+        every pipe stage holds that value, so the effective LCS is
+        constant and the shift leaves the pipe untouched.  (Right after
+        a new value enters a 1-cycle pipe, the pipe holds only that
+        value, but the step returned the old one: the commit the new
+        value allows is still to come.)  The event scheduler's idle
+        skip requires this before eliding MSP cycles in bulk."""
         last = self._last_input
         if last is None:
             return self.delay == 0
-        return all(stage == last for stage in self._pipe)
+        return (self._last_output == last
+                and all(stage == last for stage in self._pipe))

@@ -145,8 +145,7 @@ class MSPProcessor(OutOfOrderCore):
         self._bank_renames.clear()
         self._dispatch_read_ports.clear()
 
-    def dispatch_blocked(self, seq: int, slot: int, pc: int,
-                         moved: int) -> Optional[str]:
+    def rename(self, seq: int, slot: int, pc: int) -> Optional[str]:
         dec = self._dec
         if dec.wreg[pc]:
             dest = dec.dest[pc]
@@ -162,39 +161,6 @@ class MSPProcessor(OutOfOrderCore):
         if self._arbitration and not self._claimable_read_ports(pc):
             self.read_port_conflicts += 1
             return "read_port_conflict"
-        return None
-
-    def _claimable_read_ports(self, pc: int) -> bool:
-        """Can this instruction's ready operands all get their bank read
-        port this cycle? Reads of the *same* entry share a port."""
-        dec = self._dec
-        nsrc = dec.nsrc[pc]
-        group: Dict[int, int] = {}
-        for i in range(nsrc):
-            src = dec.s0[pc] if i == 0 else dec.s1[pc]
-            bank = self.banks[src]
-            mono = bank.alloc - 1
-            if not bank.ready[mono & bank.mask]:
-                continue  # captured from the bypass at wakeup
-            previous = self._dispatch_read_ports.get(src, group.get(src))
-            if previous is not None and previous != mono:
-                return False
-            group[src] = mono
-        return True
-
-    def on_dispatch_stall(self, reason: str) -> None:
-        if reason == "bank_full" and self._last_bank_blocked is not None:
-            self.stats.bank_stall_cycles[self._last_bank_blocked] += 1
-
-    def on_dispatch_stall_bulk(self, reason: str, count: int) -> None:
-        # Per-cycle counter attribution, added in one go for the idle
-        # skip (the blocking register cannot change while state is
-        # frozen).
-        if reason == "bank_full" and self._last_bank_blocked is not None:
-            self.stats.bank_stall_cycles[self._last_bank_blocked] += count
-
-    def rename(self, seq: int, slot: int, pc: int) -> None:
-        dec = self._dec
         w = self.w
         # Source lookup: each source is the latest renaming in its bank
         # (RenP); the use bit is set in the bank's RelIQ sub-matrix.
@@ -236,6 +202,44 @@ class MSPProcessor(OutOfOrderCore):
             if not count:
                 holder = self._holder[stateid] = self._current_holder
                 self._touch_holder(holder)
+        return None
+
+    def _claimable_read_ports(self, pc: int) -> bool:
+        """Can this instruction's ready operands all get their bank read
+        port this cycle? Reads of the *same* entry share a port."""
+        dec = self._dec
+        nsrc = dec.nsrc[pc]
+        group: Dict[int, int] = {}
+        for i in range(nsrc):
+            src = dec.s0[pc] if i == 0 else dec.s1[pc]
+            bank = self.banks[src]
+            mono = bank.alloc - 1
+            if not bank.ready[mono & bank.mask]:
+                continue  # captured from the bypass at wakeup
+            previous = self._dispatch_read_ports.get(src, group.get(src))
+            if previous is not None and previous != mono:
+                return False
+            group[src] = mono
+        return True
+
+    def on_dispatch_stall(self, reason: str) -> None:
+        if reason == "bank_full" and self._last_bank_blocked is not None:
+            self.stats.bank_stall_cycles[self._last_bank_blocked] += 1
+
+    def on_dispatch_stall_bulk(self, reason: str, count: int) -> None:
+        # Per-cycle counter attribution, added in one go for the idle
+        # skip (the blocking register cannot change while state is
+        # frozen).
+        if reason == "bank_full" and self._last_bank_blocked is not None:
+            self.stats.bank_stall_cycles[self._last_bank_blocked] += count
+
+    def describe_stall(self) -> str:
+        if self._last_bank_blocked is None:
+            return ""
+        bank = self.banks[self._last_bank_blocked]
+        return (f"; last bank_full on logical register "
+                f"{self._last_bank_blocked} ({bank.alloc - bank.freed}"
+                f"/{bank.limit} entries live)")
 
     def assign_state_tag(self, slot: int) -> None:
         # NOP/HALT never execute; they carry the current state and commit

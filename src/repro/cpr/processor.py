@@ -28,9 +28,8 @@ Rollback rebuilds all counts from those rules over the surviving state,
 which keeps recovery correct without shadow free-list machinery.
 
 Per-instruction state lives in the shared in-flight window columns; the
-``tag`` column does double duty — the memoised checkpoint decision
-(a bool) while the instruction stalls at the buffer head, then its owner
-:class:`Checkpoint` once renamed.
+``tag`` column holds each renamed instruction's owner
+:class:`Checkpoint`.
 """
 
 from __future__ import annotations
@@ -89,6 +88,10 @@ class CPRProcessor(OutOfOrderCore):
         self._hold_snapshot(initial.rat_snapshot)
         self.checkpoints: List[Checkpoint] = [initial]
         self._since_checkpoint = 0
+        #: (seq, decision) of the last checkpoint decision: a stalled
+        #: buffer head retries rename every cycle, and its decision is
+        #: the one taken at its first attempt (seqs are never reused).
+        self._decided = (-1, False)
         #: live checkpoints sitting at a conditional branch, by the
         #: branch's seq — so resolution can stamp the real outcome.
         self._cp_at_branch: Dict[int, Checkpoint] = {}
@@ -188,22 +191,19 @@ class CPRProcessor(OutOfOrderCore):
     # Dispatch.
     # ------------------------------------------------------------------ #
 
-    def dispatch_blocked(self, seq: int, slot: int, pc: int,
-                         moved: int) -> Optional[str]:
+    def rename(self, seq: int, slot: int, pc: int) -> Optional[str]:
         # Memoise the checkpoint decision across stalled retries so the
-        # confidence estimator is queried once per dynamic branch (the
-        # tag column is reset to None at fetch).
-        w = self.w
-        if w.tag[slot] is None:
-            w.tag[slot] = self._needs_checkpoint(pc)
+        # confidence estimator is queried once per dynamic branch.
+        decided_seq, needs_checkpoint = self._decided
+        if decided_seq != seq:
+            needs_checkpoint = self._needs_checkpoint(pc)
+            self._decided = (seq, needs_checkpoint)
         dec = self._dec
-        if dec.wreg[pc] and not self._free_list_for_logical(dec.dest[pc]):
-            return "registers_full"
-        return None
-
-    def rename(self, seq: int, slot: int, pc: int) -> None:
-        w = self.w
-        needs_checkpoint = w.tag[slot]
+        writes = dec.wreg[pc]
+        if writes:
+            free = self._free_list_for_logical(dec.dest[pc])
+            if not free:
+                return "registers_full"
         self._since_checkpoint += 1
         if needs_checkpoint:
             # Best effort: with all 8 checkpoints live the instruction
@@ -215,10 +215,10 @@ class CPRProcessor(OutOfOrderCore):
                 self.checkpoints_missed += 1
 
         owner = self._owner_checkpoint(seq)
+        w = self.w
         w.tag[slot] = owner
         owner.outstanding += 1
 
-        dec = self._dec
         rat = self.rat
         refcount = self.refcount
         nsrc = dec.nsrc[pc]
@@ -230,15 +230,16 @@ class CPRProcessor(OutOfOrderCore):
                 h1 = rat[dec.s1[pc]]
                 w.h1[slot] = h1
                 refcount[h1] += 1
-        if dec.wreg[pc]:
+        if writes:
             dest = dec.dest[pc]
-            new = self._free_list_for_logical(dest).pop()
+            new = free.pop()
             self.phys_ready[new] = False
             refcount[new] = 2            # mapping + writer holds
             old = rat[dest]
             rat[dest] = new
             w.dest[slot] = new
             self._release(old)           # superseded mapping
+        return None
 
     def _create_checkpoint(self, seq: int, slot: int, pc: int) -> None:
         w = self.w
@@ -296,28 +297,38 @@ class CPRProcessor(OutOfOrderCore):
         self.stats.checkpoints_created += 1
         self._since_checkpoint = 0
 
-    # NOP/HALT keep tag=None (set at fetch): they never execute, so they
-    # do not join an outstanding count and bulk-commit with whatever
-    # interval contains them — the base ``assign_state_tag`` no-op is
-    # exactly right.
+    # NOP/HALT get no owner: they never execute, so they do not join an
+    # outstanding count and bulk-commit with whatever interval contains
+    # them — the base ``assign_state_tag`` no-op is exactly right.
 
     # ------------------------------------------------------------------ #
     # Commit: bulk, one whole checkpoint interval at a time.
     # ------------------------------------------------------------------ #
 
     def commit_stage(self, now: int) -> None:
-        while len(self.checkpoints) >= 2:
-            oldest, closing = self.checkpoints[0], self.checkpoints[1]
+        checkpoints = self.checkpoints
+        while len(checkpoints) >= 2:
+            oldest, closing = checkpoints[0], checkpoints[1]
             if oldest.outstanding != 0:
                 return
             if not self._commit_interval(closing.seq, now):
                 return
-            # Release the oldest checkpoint.
-            self.checkpoints.pop(0)
+            # Release the oldest checkpoint: one hold per snapshot entry
+            # (``_release``, inline — 64 calls per retired checkpoint).
+            checkpoints.pop(0)
             oldest.alive = False
             self._forget(oldest)
+            refcount = self.refcount
+            phys_int = self.config.phys_int
             for handle in oldest.rat_snapshot:
-                self._release(handle)
+                count = refcount[handle] - 1
+                if count < 0:
+                    raise AssertionError(
+                        f"refcount underflow on phys {handle}")
+                refcount[handle] = count
+                if count == 0:
+                    (self.int_free if handle < phys_int
+                     else self.fp_free).append(handle)
         self._drain_if_halted(now)
 
     def _commit_interval(self, seq_bound: int, now: int) -> bool:
@@ -424,10 +435,10 @@ class CPRProcessor(OutOfOrderCore):
         w_st, w_tag = w.st, w.tag
         for s in squashed:
             slot = s & mask
-            owner = w_tag[slot]
-            if (owner is not None and isinstance(owner, Checkpoint)
-                    and owner.alive and not w_st[slot] & 2):
-                owner.outstanding -= 1
+            if not w_st[slot] & 2:       # renamed, so tag is its owner
+                owner = w_tag[slot]
+                if owner.alive:
+                    owner.outstanding -= 1
 
         self.rat[:] = target.rat_snapshot
         self._rebuild_refcounts()

@@ -16,9 +16,8 @@ Three pillars, all strictly zero-overhead when disabled:
 The gating idiom everywhere is a ``None``-check on a pre-bound hook
 slot (``core.tracer``, ``core._metrics``, a ``profile`` argument) —
 the same pattern as ``run_fast``'s observer fallback — so a disabled
-telemetry path costs one attribute test on cold paths and nothing at
-all on the fused hot loops (which fall back to the generic engine only
-when a hook is armed).  SimStats stays bit-identical with telemetry
+telemetry path costs one attribute test per emission site, in the
+event scheduler's cycle loop as everywhere else.  SimStats stays bit-identical with telemetry
 off: telemetry attaches its output as *dynamic* stats attributes only
 when enabled.
 """

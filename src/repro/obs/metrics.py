@@ -3,8 +3,8 @@
 :class:`IntervalRecorder` is the hook object a detailed core arms via
 ``core.attach_metrics``; ``commit_one`` samples it every ``interval``
 committed instructions through a ``None``-checked slot, so a disabled
-recorder costs one attribute test per commit and the fused baseline
-loop (no hooks) falls back to the generic engine only when armed.
+recorder costs one attribute test per commit (the event loop retires
+the baseline through ``commit_one`` only while one is armed).
 
 Both detailed-core schedulers produce identical series: commits happen
 only on simulated cycles, and the event scheduler's idle skip is

@@ -4,8 +4,8 @@
 ``core.attach_tracer``.  Every emission site in the core is guarded by
 ``if self.tracer is not None`` on a slot pre-bound to ``None`` in
 ``__init__`` — with tracing off the cost is one attribute test per
-site, and the fused baseline loop (which has no hooks at all) falls
-back to the generic engine only when a tracer is armed.
+site, in the event scheduler's cycle loop as in the scan oracle's
+stage methods.
 
 Scheduler equality
 ------------------

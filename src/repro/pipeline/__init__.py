@@ -1,7 +1,8 @@
 """Shared pipeline machinery: fetch, in-flight window, resources, core
 engine."""
 
-from repro.pipeline.core_base import FAULT_NONE, OutOfOrderCore
+from repro.pipeline.core_base import (FAULT_NONE, OutOfOrderCore,
+                                     SimulationStalled)
 from repro.pipeline.fetch import FetchEngine
 from repro.pipeline.resources import FunctionalUnitPool, LoadBuffer
 from repro.pipeline.stats import SimStats
@@ -15,4 +16,5 @@ __all__ = [
     "LoadBuffer",
     "OutOfOrderCore",
     "SimStats",
+    "SimulationStalled",
 ]

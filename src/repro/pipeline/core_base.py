@@ -6,12 +6,13 @@ execution with real data values (execution-driven, including wrong paths),
 store-queue forwarding and squash bookkeeping. Subclasses plug in exactly
 the parts the paper says differ:
 
-* renaming / resource allocation (``rename`` / ``dispatch_blocked``),
+* renaming / resource allocation (``rename``, which also reports the
+  stall reason that keeps an instruction from dispatching),
 * commit (``commit_stage``),
 * recovery (``recover_from_branch`` / ``take_exception``),
 * physical-register storage (``handle_ready`` / ``read_operand`` /
   ``write_result``),
-* port arbitration (``acquire_read_ports`` / ``filter_writebacks``).
+* write-port arbitration (``filter_writebacks``).
 
 In-flight state is structure-of-arrays: one :class:`InflightWindow`
 column per field, indexed by ``seq & mask`` (see
@@ -29,19 +30,21 @@ newly dispatched instructions first become issue-eligible in *t+1*
 Two interchangeable backend schedulers drive issue/wakeup
 (``SimConfig.scheduler``):
 
-* ``"scan"`` — the original per-cycle loop: every ready candidate is
-  heap-popped, examined and re-pushed each cycle, completion buckets are
-  filtered lazily, and every cycle is simulated even when nothing can
-  happen.  Kept verbatim as the reference oracle.
-* ``"event"`` (default) — the ready window is ONE sorted-by-seq list
-  that each candidate enters exactly once (at dispatch, or when its
-  last operand arrives); the per-cycle walk examines the front of the
-  window in place with no heap churn, squash unlinks waiters from the
-  wakeup map and purges stale completion events instead of leaving
-  zombies, and ``run`` skips provably idle stretches (no completions
-  due, fetch stalled, dispatch blocked, nothing issuable) in one jump
-  to the next event time while replaying the per-cycle stall
-  accounting in bulk.
+* ``"scan"`` — the original per-cycle loop over the stage methods
+  (``commit_stage`` ... ``fetch.cycle``): every ready candidate is
+  heap-popped, examined and re-pushed each cycle, completion buckets
+  are filtered lazily, and every cycle is simulated even when nothing
+  can happen.  Kept as the reference oracle.
+* ``"event"`` (default) — one cycle loop for every machine
+  (:meth:`OutOfOrderCore._run_event`) with the stages inline.  The
+  ready window is ONE sorted-by-seq list that each candidate enters
+  exactly once (at dispatch, or when its last operand arrives); the
+  per-cycle walk examines the front of the window in place with no
+  heap churn, squash unlinks waiters from the wakeup map and purges
+  stale completion events instead of leaving zombies, and provably
+  idle stretches (no completions due, fetch stalled, dispatch blocked,
+  nothing issuable) are skipped in one jump to the next event time
+  while the per-cycle stall accounting is replayed in bulk.
 
 Both schedulers produce bit-identical :class:`SimStats` — the event
 walk examines candidates in the same seq order, consumes the same
@@ -59,6 +62,7 @@ old ``di.squashed`` test.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from bisect import insort
 from collections import deque
@@ -70,8 +74,12 @@ from typing import Any, Deque, Dict, List, Optional
 _ADDR_MASK = (1 << 64) - 1
 
 from repro.branch import BranchTargetBuffer, make_predictor
+from repro.branch.base import Prediction
+from repro.branch.gshare import GsharePredictor
+from repro.branch.tage import TagePredictor
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
+from repro.isa.registers import NUM_INT_REGS
 from repro.isa.semantics import effective_address
 from repro.memory.cache import MemoryHierarchy
 from repro.pipeline.fetch import FetchEngine
@@ -88,6 +96,15 @@ _FLD = Op.FLD.value
 #: is on the correct path (will be re-fetched identically).
 FAULT_NONE = 1 << 62
 
+_STATUS_BITS = ((ISSUED, "issued"), (COMPLETED, "completed"),
+                (SQUASHED, "squashed"), (MISPRED, "mispredicted"))
+
+
+class SimulationStalled(RuntimeError):
+    """A run reached its default cycle cap before its instruction
+    budget or a HALT: the machine stopped making progress.  A permanent
+    failure — re-running the same deterministic cell stalls again."""
+
 
 class OutOfOrderCore(ABC):
     """Cycle-level execution-driven out-of-order core."""
@@ -95,6 +112,11 @@ class OutOfOrderCore(ABC):
     #: Extra pipe stages between rename and first issue eligibility
     #: (the MSP arbitration stage sets this to 1).
     extra_dispatch_delay = 0
+
+    #: True for the baseline ROB machine: the event loop then retires
+    #: and renames inline instead of calling ``commit_stage`` /
+    #: ``rename`` (while no exception plan or telemetry is armed).
+    _rob_inline = False
 
     #: Initial in-flight ring capacity.  The baseline ROB bounds its
     #: window structurally; CPR/MSP can keep more in flight, so they
@@ -153,35 +175,18 @@ class OutOfOrderCore(ABC):
         # Stores waiting for their address operand (early AGU).
         self._addr_watch: Dict[Any, List[int]] = {}
 
-        # Event-scheduler idle-skip bookkeeping (see ``run``).
-        self._quiet = False                 # last cycle changed nothing
-        self._last_stall_reason: Optional[str] = None
-        self._wb_live = False               # writeback processed work
-        self._ready_dropped = False         # walk dropped stale entries
-        self._next_timed: Optional[int] = None  # earliest pending-issue
         #: Cycles elided by the idle skip (diagnostics; included in
         #: ``stats.cycles`` — the skip is accounting-exact).
         self.skipped_cycles = 0
+        #: Reason of the last cycle whose whole dispatch group stalled
+        #: (named by :class:`SimulationStalled`).
+        self._stall_reason: Optional[str] = None
 
-        # Hot-path specialisation for the event scheduler.  Hook-override
-        # flags let the per-instruction loops skip calls that would hit
-        # the base class's no-op implementations; the operand tables are
-        # published by subclasses whose register file is a flat
-        # int-indexed (value, ready) list pair so the core can index it
-        # directly instead of paying a method call per operand.  None of
-        # this changes behaviour — the scan oracle always goes through
-        # the virtual calls.
-        base = OutOfOrderCore
-        cls = type(self)
-        self._has_read_ports = (
-            cls.acquire_read_ports is not base.acquire_read_ports)
-        self._has_wb_filter = (
-            cls.filter_writebacks is not base.filter_writebacks)
-        self._has_on_complete = cls.on_complete is not base.on_complete
-        self._has_begin_issue = (
-            cls.begin_issue_cycle is not base.begin_issue_cycle)
-        self._has_begin_dispatch = (
-            cls.begin_dispatch_cycle is not base.begin_dispatch_cycle)
+        # Direct register-file tables for the event loop, published by
+        # subclasses whose register file is a flat int-indexed (value,
+        # ready) list pair so the loop can index it instead of paying
+        # a method call per operand.  None of this changes behaviour —
+        # the scan oracle always goes through the virtual calls.
         #: ``phys_ready`` list for direct ``handle_ready`` indexing
         #: (baseline and CPR publish it), or None.
         self._ready_table: Optional[List[bool]] = None
@@ -196,11 +201,9 @@ class OutOfOrderCore(ABC):
 
         #: Observability hook slots (``repro.obs``), pre-bound to None
         #: so every emission site is a single attribute test when
-        #: telemetry is off — the same idiom as the specialisation
-        #: flags above.  Armed via :meth:`attach_tracer` /
-        #: :meth:`attach_metrics`; the fused baseline loop falls back
-        #: to this generic (hook-bearing, bit-identical) engine while
-        #: either is armed.
+        #: telemetry is off.  Armed via :meth:`attach_tracer` /
+        #: :meth:`attach_metrics`; the event loop keeps the baseline's
+        #: ROB retire out of line while either is armed.
         self.tracer = None
         self._metrics = None
 
@@ -290,111 +293,748 @@ class OutOfOrderCore(ABC):
 
     def run(self, max_instructions: int = 50_000,
             max_cycles: Optional[int] = None) -> SimStats:
-        """Simulate until ``max_instructions`` commit, HALT, or cycle cap."""
+        """Simulate until ``max_instructions`` commit, HALT, or the cycle
+        cap.  Without a caller ``max_cycles`` the cap is 200 cycles per
+        budgeted instruction plus 100k, and a run that reaches it before
+        its budget or a HALT raises :class:`SimulationStalled`."""
         cycle_cap = max_cycles if max_cycles is not None \
             else max_instructions * 200 + 100_000
         stats = self.stats
-        if not self._sched_event:
+        if self._sched_event:
+            self._run_event(max_instructions, cycle_cap)
+        else:
             while (not self.done and stats.committed < max_instructions
                    and stats.cycles < cycle_cap):
                 self.cycle()
-            return stats
-        while (not self.done and stats.committed < max_instructions
-               and stats.cycles < cycle_cap):
-            self.cycle()
-            if self._quiet and self.commit_settled():
-                bound = self._next_event_cycle()
-                horizon = self.now + (cycle_cap - stats.cycles)
-                if bound is None or bound > horizon:
-                    bound = horizon
-                if bound > self.now:
-                    self._skip_quiet_cycles(bound - self.now)
+        if (max_cycles is None and not self.done
+                and stats.committed < max_instructions):
+            raise self._stalled()
         return stats
 
     def cycle(self) -> None:
-        now = self.now
-        stats = self.stats
-        stats.cycles += 1
-        if not self._sched_event:
-            self.commit_stage(now)
-            if not self.done:
-                self.writeback_stage(now)
-                self.issue_stage(now)
-                self.dispatch_stage(now)
-                self.fetch.cycle(now)
-            self.now = now + 1
+        """Simulate exactly one cycle (an event core runs its loop with
+        a one-cycle cap, so the idle skip never engages)."""
+        if self._sched_event:
+            self._run_event(sys.maxsize, self.stats.cycles + 1)
             return
-        fetch = self.fetch
-        before = (stats.committed, stats.issued, stats.dispatched,
-                  stats.recoveries, stats.exceptions_taken,
-                  stats.checkpoints_created, stats.squashed, fetch.fetched)
-        self._wb_live = False
-        self._ready_dropped = False
-        self._last_stall_reason = None
+        now = self.now
+        self.stats.cycles += 1
         self.commit_stage(now)
         if not self.done:
             self.writeback_stage(now)
             self.issue_stage(now)
             self.dispatch_stage(now)
-            fetch.cycle(now)
-        self._quiet = (not self.done and not self._wb_live
-                       and not self._ready_dropped
-                       and before == (stats.committed, stats.issued,
-                                      stats.dispatched, stats.recoveries,
-                                      stats.exceptions_taken,
-                                      stats.checkpoints_created,
-                                      stats.squashed, fetch.fetched))
+            self.fetch.cycle(now)
         self.now = now + 1
 
-    # ------------------------------------------------------------------ #
-    # Idle skip (event scheduler): a *quiet* cycle changed no machine
-    # state — nothing committed, wrote back, issued, dispatched or
-    # fetched, no recovery ran and the ready window kept every entry.
-    # Re-simulating such cycles until the next event only ticks the same
-    # counters, so ``run`` jumps straight to the earliest cycle at which
-    # anything can happen and replays the per-cycle accounting in bulk.
-    # ------------------------------------------------------------------ #
+    def _stalled(self) -> SimulationStalled:
+        """The error for a run that reached its default cycle cap."""
+        w = self.w
+        if self.in_flight:
+            seq = self.in_flight[0]
+            slot = seq & w.mask
+            st = w.st[slot]
+            status = "|".join(name for bit, name in _STATUS_BITS
+                              if st & bit) or "waiting"
+            head = f"in-flight head seq {seq} pc {w.pc[slot]} ({status})"
+        else:
+            head = (f"nothing in flight (fetch pc {self.fetch.pc}, "
+                    f"{len(self.fetch.buffer)} buffered)")
+        return SimulationStalled(
+            f"{self.config.label}: no HALT and only "
+            f"{self.stats.committed} committed by cycle "
+            f"{self.stats.cycles}; {head}; last dispatch stall: "
+            f"{self._stall_reason}{self.describe_stall()}")
 
-    def _next_event_cycle(self) -> Optional[int]:
-        """Earliest future cycle at which machine state can change:
-        the next completion event, the cycle a stalled fetch resumes,
-        or the cycle a dispatched-but-not-yet-eligible instruction in
-        the examined issue window becomes issuable. ``None`` when no
-        event is pending (the machine can only spin to its cycle cap).
+    def describe_stall(self) -> str:
+        """Machine detail appended to a :class:`SimulationStalled`
+        message (the MSP names the bank that blocked dispatch)."""
+        return ""
+
+    def _hook(self, name: str):
+        """The bound hook ``name``, or None while it is still the base
+        class's no-op (the cycle loop then skips the call)."""
+        if getattr(type(self), name) is getattr(OutOfOrderCore, name):
+            return None
+        return getattr(self, name)
+
+    def _run_event(self, max_instructions: int, cycle_cap: int) -> None:
+        """The event scheduler's cycle loop, one for every machine:
+        commit -> writeback -> issue -> dispatch -> fetch, then the
+        idle skip.
+
+        Writeback, the issue walk (which evaluates through the shared
+        ``_execute``), dependency wiring, fetch and the skip are inline
+        with the window columns bound as locals.  Each machine's
+        differences go through its hooks, bound once per call and
+        skipped while still the base no-op.  The baseline's ROB retire
+        and RAT rename are inline too (``_rob_inline``) unless an
+        exception plan or telemetry is armed; telemetry sites are
+        None-checked, so armed runs take this same loop.  Behaviour is
+        bit-identical to the scan oracle's stage methods: the
+        scheduler-equivalence tests compare the two cell by cell.
+
+        A *quiet* cycle changed no machine state: nothing committed,
+        wrote back, issued, dispatched or fetched, no recovery or
+        checkpoint happened and the ready window kept every entry.
+        Re-simulating such cycles until the next event only ticks the
+        same counters, so the loop jumps straight to the earliest cycle
+        at which anything can happen (a completion, the end of a fetch
+        stall, an instruction becoming issue-eligible) and replays the
+        per-cycle stall accounting in bulk.
         """
-        bound: Optional[int] = None
-        if self._completions:
-            bound = min(self._completions)
+        stats = self.stats
+        config = self.config
+        tracer = self.tracer
+        rob = (self._rob_inline and not self.exception_plan
+               and tracer is None and self._metrics is None)
+        hook = self._hook
+        commit_stage = self.commit_stage
+        rename = self.rename
+        wb_filter = hook("filter_writebacks")
+        on_complete = hook("on_complete")
+        on_branch = hook("on_branch_resolved")
+        on_stall = hook("on_dispatch_stall")
+        stall_bulk = hook("on_dispatch_stall_bulk")
+        state_tag = hook("assign_state_tag")
+        begin_dispatch = hook("begin_dispatch_cycle")
+        settled = hook("commit_settled")
+        execute = self._execute
+        resolve_control = self._resolve_control
+        recover_from_branch = self.recover_from_branch
+        values = self._value_table
+        ready_table = self._ready_table
+        read_direct = self._read_direct
+        read_operand = self.read_operand
+        write_result = self.write_result
+        # Side-effect-free register reads (readiness, early address
+        # values): the flat tables' item getters where published.
+        ready_of = (ready_table.__getitem__ if ready_table is not None
+                    else self.handle_ready)
+        peek = (values.__getitem__ if values is not None
+                else self.peek_operand)
+        commit_trace = self.commit_trace
+        if rob:
+            rat, arch_rat = self.rat, self.arch_rat
+            int_free, fp_free = self.int_free, self.fp_free
+            rob_size = config.rob_size
         fetch = self.fetch
-        if not fetch.halted and len(fetch.buffer) < fetch.buffer_capacity:
-            resume = fetch.stalled_until
-            if bound is None or resume < bound:
-                bound = resume
-        timed = self._next_timed
-        if timed is not None and (bound is None or timed < bound):
-            bound = timed
-        return bound
+        buffer = fetch.buffer
+        in_flight = self.in_flight
+        window = self._ready_list
+        completions = self._completions
+        waiting = self._waiting
+        addr_watch = self._addr_watch
+        sq = self.sq
+        sq_unknown = sq._unknown_addr
+        sq_pending = sq._pending_data
+        lb = self.load_buffer
+        fus = self.fus
+        fu_used = fus._used
+        fu_limits = fus._limits
+        issue_width = fus.issue_width
+        retire_width = config.retire_width
+        rename_width = config.rename_width
+        iq_size = config.iq_size
+        budget = config.max_issue_scan
+        eic_delay = 1 + self.extra_dispatch_delay
+        commit_up_to = sq.commit_up_to
+        commit_store_write = self.commit_store_write
+        sq_execute = sq.execute
+        sq_allocate = sq.allocate
+        sq_set_address = sq.set_address
+        sq_is_full = sq.is_full
+        predictor = self.predictor
+        predictor_predict = predictor.predict
+        predictor_update = predictor.update
+        predictor_restore = predictor.restore
+        predictor_history = predictor.get_history
+        # Inline-predict fast path for the stock gshare front end (a
+        # subclass could override predict, so match the exact type).
+        if type(predictor) is GsharePredictor:
+            gs_pht = predictor.pht
+            gs_imask = predictor.index_mask
+            gs_hmask = predictor.history_mask
+        else:
+            gs_pht = gs_imask = gs_hmask = None
+        # TAGE exposes its raw (train-path possibly unmasked) ghr;
+        # an attribute read + mask beats a get_history call in fetch.
+        if type(predictor) is TagePredictor:
+            tage_hmask = predictor.history_mask
+        else:
+            tage_hmask = None
+        btb_predict = self.btb.predict
+        instruction_latency = self.hierarchy.instruction_latency
+        icache = self.hierarchy.icache
+        ic_sets = icache._sets
+        ic_line_shift = icache._line_shift
+        ic_set_mask = icache.set_mask
+        ic_set_bits = icache._set_bits
+        icache_hit_cycles = self.hierarchy.icache_hit
+        fetch_width = fetch.width
+        buffer_capacity = fetch.buffer_capacity
 
-    def _skip_quiet_cycles(self, count: int) -> None:
-        """Account ``count`` quiet cycles without simulating them."""
-        self.stats.cycles += count
-        self.skipped_cycles += count
-        reason = self._last_stall_reason
-        if reason is not None:
-            self.stats.dispatch_stall_cycles[reason] += count
-            self.on_dispatch_stall_bulk(reason, count)
-        self.fetch.skip_cycles(self.now, count)
-        self.now += count
+        # Static program columns (indexed by PC).
+        dec = self._dec
+        P_size = dec.size
+        P_kind = dec.kind
+        P_code = dec.code
+        P_insts = dec.insts
+        P_s0, P_s1, P_nsrc = dec.s0, dec.s1, dec.nsrc
+        P_dest, P_wreg = dec.dest, dec.wreg
+        P_imm, P_target = dec.imm, dec.target
+        P_fu = dec.fu
 
-    def commit_settled(self) -> bool:
-        """True when re-running the commit stage against frozen machine
-        state is a provable no-op, so quiet cycles may be skipped in
-        bulk (MSP requires its pipelined LCS min-tree to have drained
-        to a fixpoint)."""
-        return True
+        # In-flight columns (indexed by seq & mask; the column *lists*
+        # are stable across window growth — only the mask changes).
+        w = self.w
+        mask = w.mask
+        W_sq, W_pc, W_st = w.sq, w.pc, w.st
+        W_h0, W_h1, W_wc = w.h0, w.h1, w.wc
+        W_dest, W_res, W_sval = w.dest, w.res, w.sval
+        W_eic, W_pred, W_ptk, W_ptg = w.eic, w.pred, w.ptk, w.ptg
+        W_atk, W_ma, W_se = w.atk, w.ma, w.se
+        W_fin = w.fin
+        W_tag, W_ghr = w.tag, w.ghr
+        oldest_live = self._oldest_live
+
+        now = self.now
+        cycles = stats.cycles
+        while (not self.done and stats.committed < max_instructions
+               and cycles < cycle_cap):
+            stats.cycles = cycles = cycles + 1
+            recoveries_before = stats.recoveries
+            checkpoints_before = stats.checkpoints_created
+
+            # ---------------- commit ---------------------------------- #
+            if rob:
+                # Baseline ROB retire, inline (BaselineProcessor.
+                # commit_stage without exceptions or telemetry).
+                commits = 0
+                if in_flight and W_st[in_flight[0] & mask] & 2:
+                    ordinal = self.commit_ordinal
+                    while commits < retire_width and in_flight:
+                        s = in_flight[0]
+                        slot = s & mask
+                        if not W_st[slot] & 2:
+                            break
+                        ordinal += 1
+                        pc = W_pc[slot]
+                        if commit_trace is not None:
+                            commit_trace.append(pc)
+                        kind = P_kind[pc]
+                        if kind == 4:
+                            lb.occupied -= 1
+                        elif P_code[pc] == _HALT:
+                            self.done = True
+                        in_flight.popleft()
+                        if P_wreg[pc]:
+                            dest = P_dest[pc]
+                            previous = arch_rat[dest]
+                            arch_rat[dest] = W_dest[slot]
+                            if dest < NUM_INT_REGS:
+                                int_free.append(previous)
+                            else:
+                                fp_free.append(previous)
+                        elif kind == 5:
+                            commit_up_to(s, commit_store_write)
+                        commits += 1
+                        if self.done:
+                            break
+                    self.commit_ordinal = ordinal
+                    stats.committed += commits
+            else:
+                commits = stats.committed
+                commit_stage(now)
+                commits = stats.committed - commits
+            if self.done:
+                now += 1
+                break
+
+            # ---------------- writeback ------------------------------- #
+            wb_live = False
+            bucket = completions.pop(now, None)
+            if bucket:
+                if len(bucket) > 1:
+                    bucket.sort()
+                if wb_filter is not None:
+                    live = [s for s in bucket if W_sq[s & mask] == s
+                            and not W_st[s & mask] & 4]
+                    if live:
+                        wb_live = True
+                        bucket, deferred = wb_filter(live, now)
+                        for s in deferred:
+                            completions.setdefault(now + 1, []).append(s)
+                for s in bucket:
+                    slot = s & mask
+                    st = W_st[slot]
+                    # Stale (slot recycled), pre-squashed and
+                    # mid-bucket-recovered entries all fail here.
+                    if W_sq[slot] != s or st & 4:
+                        continue
+                    wb_live = True
+                    W_st[slot] = st | 2
+                    if tracer is not None:
+                        tracer.writeback(s, now)
+                    pc = W_pc[slot]
+                    kind = P_kind[pc]
+                    if P_wreg[pc]:
+                        dest = W_dest[slot]
+                        result = W_res[slot]
+                        if values is not None:
+                            values[dest] = result
+                            ready_table[dest] = True
+                        else:
+                            write_result(slot)
+                        waiters = waiting.pop(dest, None)
+                        if waiters:
+                            for ws in waiters:
+                                wslot = ws & mask
+                                if (W_sq[wslot] != ws
+                                        or W_st[wslot] & 4):
+                                    continue
+                                count = W_wc[wslot] - 1
+                                W_wc[wslot] = count
+                                if count == 0:
+                                    if (not window
+                                            or window[-1] < ws):
+                                        window.append(ws)
+                                    else:
+                                        insort(window, ws)
+                        watchers = (addr_watch.pop(dest, None)
+                                    if addr_watch else None)
+                        if watchers:
+                            for ws in watchers:
+                                wslot = ws & mask
+                                if (W_sq[wslot] == ws
+                                        and not W_st[wslot] & 4):
+                                    imm = P_imm[W_pc[wslot]]
+                                    if type(result) is int:
+                                        addr = ((result + imm)
+                                                & _ADDR_MASK)
+                                    else:
+                                        addr = effective_address(
+                                            result, imm)
+                                    sq_set_address(W_se[wslot], addr)
+                    elif kind == 5:
+                        sq_execute(W_se[slot], W_ma[slot],
+                                   W_sval[slot])
+                    if on_complete is not None:
+                        on_complete(s, slot)
+                    if kind == 1:
+                        # _resolve_control's conditional-branch body.
+                        stats.branches += 1
+                        taken = W_atk[slot]
+                        prediction = W_pred[slot]
+                        predictor_update(prediction, taken)
+                        mispredicted = taken != W_ptk[slot]
+                        if on_branch is not None:
+                            on_branch(slot, mispredicted)
+                        if mispredicted:
+                            stats.branch_mispredictions += 1
+                            prediction.taken = taken
+                            predictor_restore(prediction)
+                            W_st[slot] |= 8
+                            stats.recoveries += 1
+                            recover_from_branch(s, slot, now)
+                    elif kind == 3:
+                        # BTB-indirect resolution stays out of line
+                        # (kind 2 direct jumps never mispredict).
+                        resolve_control(s, slot, pc, kind, now)
+
+            # ---------------- issue (event window walk) --------------- #
+            # The front of the sorted ready window is examined in place,
+            # in the scan loop's candidate order and ``max_issue_scan``
+            # budget (stale and not-yet-eligible entries consume it too);
+            # blocked candidates stay put, issued and stale ones are
+            # compacted out.
+            issued = 0
+            dropped = False
+            next_timed = None
+            n = len(window)
+            if n:
+                fu_used[0] = fu_used[1] = fu_used[2] = fu_used[3] = 0
+                slots = issue_width
+                if budget < n:
+                    n = budget
+                # The SQ only changes between walks (dispatch allocates,
+                # writeback resolves), and unresolved-address seqs
+                # iterate in ascending order, so "any older store with
+                # unknown address" is one compare against the first key.
+                sq_oldest_unknown = -1
+                for _q in sq_unknown:
+                    sq_oldest_unknown = _q
+                    break
+                read = 0
+                write = 0
+                while read < n:
+                    s = window[read]
+                    read += 1
+                    slot = s & mask
+                    st = W_st[slot]
+                    if W_sq[slot] != s or st & 5:
+                        dropped = True
+                        continue
+                    eic = W_eic[slot]
+                    if eic > now:
+                        if next_timed is None or eic < next_timed:
+                            next_timed = eic
+                        window[write] = s
+                        write += 1
+                        continue
+                    pc = W_pc[slot]
+                    kind = P_kind[pc]
+                    if kind == 4:
+                        # The base register cannot be freed or rewritten
+                        # while the load is in flight (commit is in
+                        # order), so the effective address is computed
+                        # once and memoised in the ``ma`` column across
+                        # blocked re-visits.
+                        addr = W_ma[slot]
+                        if addr < 0:
+                            base = peek(W_h0[slot])
+                            if type(base) is int:
+                                addr = (base + P_imm[pc]) & _ADDR_MASK
+                            else:
+                                addr = effective_address(base, P_imm[pc])
+                            W_ma[slot] = addr
+                        # StoreQueue.load_blocked, inline.
+                        if -1 < sq_oldest_unknown < s:
+                            window[write] = s
+                            write += 1
+                            continue
+                        if sq_pending:
+                            pend = sq_pending.get(addr)
+                            if pend is not None:
+                                blocked = False
+                                for _e in pend:
+                                    if _e.seq < s:
+                                        blocked = True
+                                        break
+                                if blocked:
+                                    window[write] = s
+                                    write += 1
+                                    continue
+                    code = P_fu[pc]
+                    if fu_used[code] >= fu_limits[code]:
+                        window[write] = s
+                        write += 1
+                        continue
+                    # -------- issue + execute ------------------------- #
+                    W_st[slot] = st | 1
+                    if tracer is not None:
+                        tracer.issue(s, now)
+                    issued += 1
+                    fu_used[code] = fu_used[code] + 1
+                    nsrc = P_nsrc[pc]
+                    if read_direct:
+                        finish = now + execute(
+                            s, slot, pc, kind,
+                            values[W_h0[slot]] if nsrc else None,
+                            values[W_h1[slot]] if nsrc == 2 else None)
+                    else:
+                        finish = now + execute(
+                            s, slot, pc, kind,
+                            read_operand(W_h0[slot]) if nsrc else None,
+                            read_operand(W_h1[slot]) if nsrc == 2 else None)
+                    W_fin[slot] = finish
+                    fbucket = completions.get(finish)
+                    if fbucket is None:
+                        completions[finish] = [s]
+                    else:
+                        fbucket.append(s)
+                    slots -= 1
+                    if slots <= 0:
+                        break
+                if write != read:
+                    del window[write:read]
+                if issued:
+                    stats.issued += issued
+                    self.iq_count -= issued
+
+            # ---------------- dispatch (rename + allocate) ------------ #
+            moved = 0
+            stall_reason = None
+            if buffer:
+                if begin_dispatch is not None:
+                    begin_dispatch()
+                iq_count = self.iq_count
+                # Consume the buffer through a read index; one slice
+                # delete at the end instead of a left shift per pop.
+                rd = 0
+                blen = len(buffer)
+                while moved < rename_width and rd < blen:
+                    s = buffer[rd]
+                    slot = s & mask
+                    pc = W_pc[slot]
+                    kind = P_kind[pc]
+                    if kind == 6:            # NOP/HALT
+                        rd += 1
+                        W_st[slot] |= 2
+                        if state_tag is not None:
+                            state_tag(slot)
+                        in_flight.append(s)
+                        moved += 1
+                        continue
+                    if iq_count >= iq_size:
+                        stall_reason = "iq_full"
+                        break
+                    if kind == 4:
+                        if lb.occupied >= lb.capacity:
+                            stall_reason = "load_buffer_full"
+                            break
+                    elif kind == 5 and sq_is_full():
+                        stall_reason = "store_queue_full"
+                        break
+                    nsrc = P_nsrc[pc]
+                    wait_count = 0
+                    if rob:
+                        # BaselineProcessor.rename + wiring, inline.
+                        if len(in_flight) >= rob_size:
+                            stall_reason = "rob_full"
+                            break
+                        writes = P_wreg[pc]
+                        if writes:
+                            free = (int_free if P_dest[pc] < NUM_INT_REGS
+                                    else fp_free)
+                            if not free:
+                                stall_reason = "registers_full"
+                                break
+                        rd += 1
+                        if nsrc:
+                            W_h0[slot] = h0 = rat[P_s0[pc]]
+                            if not ready_table[h0]:
+                                wait_count = 1
+                                lst = waiting.get(h0)
+                                if lst is None:
+                                    waiting[h0] = [s]
+                                else:
+                                    lst.append(s)
+                            if nsrc == 2:
+                                W_h1[slot] = h1 = rat[P_s1[pc]]
+                                if not ready_table[h1]:
+                                    wait_count += 1
+                                    lst = waiting.get(h1)
+                                    if lst is None:
+                                        waiting[h1] = [s]
+                                    else:
+                                        lst.append(s)
+                        if writes:
+                            new = free.pop()
+                            ready_table[new] = False
+                            W_dest[slot] = new
+                            rat[P_dest[pc]] = new
+                        if kind == 1 or kind == 2 or kind == 3:
+                            W_tag[slot] = list(rat)  # recovery snapshot
+                    else:
+                        stall_reason = rename(s, slot, pc)
+                        if stall_reason is not None:
+                            break
+                        rd += 1
+                        if nsrc:
+                            h0 = W_h0[slot]
+                            if not ready_of(h0):
+                                wait_count = 1
+                                lst = waiting.get(h0)
+                                if lst is None:
+                                    waiting[h0] = [s]
+                                else:
+                                    lst.append(s)
+                            if nsrc == 2:
+                                h1 = W_h1[slot]
+                                if not ready_of(h1):
+                                    wait_count += 1
+                                    lst = waiting.get(h1)
+                                    if lst is None:
+                                        waiting[h1] = [s]
+                                    else:
+                                        lst.append(s)
+                    W_wc[slot] = wait_count
+                    W_eic[slot] = now + eic_delay
+                    if kind == 5:
+                        W_se[slot] = entry = sq_allocate(s)
+                        # Early AGU: resolve the address as soon as the
+                        # base operand (h1) is available, possibly long
+                        # before the store issues.
+                        if ready_of(h1):
+                            base = peek(h1)
+                            if type(base) is int:
+                                addr = (base + P_imm[pc]) & _ADDR_MASK
+                            else:
+                                addr = effective_address(base, P_imm[pc])
+                            sq_set_address(entry, addr)
+                        else:
+                            lst = addr_watch.get(h1)
+                            if lst is None:
+                                addr_watch[h1] = [s]
+                            else:
+                                lst.append(s)
+                    elif kind == 4:
+                        W_ma[slot] = -1      # address memo for the walk
+                        lb.occupied += 1
+                    in_flight.append(s)
+                    iq_count += 1
+                    moved += 1
+                    # A freshly dispatched instruction is the youngest
+                    # in the machine: the window admits it with an append.
+                    if wait_count == 0:
+                        window.append(s)
+                if rd:
+                    if tracer is not None:
+                        for q in buffer[:rd]:
+                            tracer.dispatch(q, now)
+                    del buffer[:rd]
+                self.iq_count = iq_count
+                stats.dispatched += moved
+                if moved == 0 and stall_reason is not None:
+                    stats.dispatch_stall_cycles[stall_reason] += 1
+                    self._stall_reason = stall_reason
+                    if tracer is not None:
+                        tracer.stall(buffer[0], now, stall_reason)
+                    if on_stall is not None:
+                        on_stall(stall_reason)
+                else:
+                    stall_reason = None
+
+            # ---------------- fetch (FetchEngine.cycle, inline) ------- #
+            fetched = 0
+            if not fetch.halted:
+                if now < fetch.stalled_until:
+                    fetch.icache_stall_cycles += 1
+                elif len(buffer) < buffer_capacity:
+                    pc = fetch.pc
+                    # I-cache hit path, inline (instruction_latency /
+                    # Cache.access; instructions sit at 1 << 40 + pc).
+                    line = (((1 << 40) + pc) << 3) >> ic_line_shift
+                    tag = line >> ic_set_bits
+                    lines = ic_sets[line & ic_set_mask]
+                    if tag in lines:
+                        icache.hits += 1
+                        lines.move_to_end(tag)
+                        latency = icache_hit_cycles
+                    else:
+                        latency = instruction_latency(pc)
+                    if latency > 1:
+                        fetch.stalled_until = now + latency
+                        fetch.icache_stall_cycles += 1
+                    else:
+                        next_seq = fetch.next_seq
+                        if next_seq + fetch_width > w.grow_barrier:
+                            w.ensure_room(oldest_live(),
+                                          next_seq + fetch_width)
+                            mask = w.mask
+                        # History only moves when a branch is predicted,
+                        # so read it once per group and refresh after
+                        # each (not-taken) prediction.
+                        if tage_hmask is not None:
+                            ghr_now = predictor.ghr & tage_hmask
+                        else:
+                            ghr_now = predictor_history()
+                        for _ in range(fetch_width):
+                            if len(buffer) >= buffer_capacity:
+                                break
+                            if pc < 0 or pc >= P_size:
+                                # Wrong-path PC fell off the program.
+                                fetch.halted = True
+                                break
+                            slot = next_seq & mask
+                            W_sq[slot] = next_seq
+                            W_pc[slot] = pc
+                            W_st[slot] = 0
+                            W_ghr[slot] = ghr_now
+                            buffer.append(next_seq)
+                            next_seq += 1
+                            fetched += 1
+                            kind = P_kind[pc]
+                            if kind >= 6:
+                                if P_code[pc] == _HALT:
+                                    fetch.halted = True
+                                    break
+                                pc += 1
+                                continue
+                            if kind == 1:
+                                if gs_pht is not None:
+                                    # gshare predict, inline.
+                                    index = (pc ^ ghr_now) & gs_imask
+                                    taken = gs_pht[index] >= 2
+                                    prediction = Prediction(
+                                        pc, taken, meta=(ghr_now, index))
+                                    ghr_now = (((ghr_now << 1)
+                                                | (1 if taken else 0))
+                                               & gs_hmask)
+                                    predictor.ghr = ghr_now
+                                else:
+                                    prediction = predictor_predict(pc)
+                                    taken = prediction.taken
+                                    if tage_hmask is not None:
+                                        # Specialised predict just
+                                        # masked and stored the ghr.
+                                        ghr_now = predictor.ghr
+                                    else:
+                                        ghr_now = predictor_history()
+                                W_pred[slot] = prediction
+                                W_ptk[slot] = taken
+                                if taken:
+                                    W_ptg[slot] = pc = P_target[pc]
+                                    break
+                                W_ptg[slot] = pc + 1
+                            elif kind == 2:
+                                W_ptk[slot] = True
+                                W_ptg[slot] = pc = P_target[pc]
+                                break
+                            elif kind == 3:
+                                W_ptk[slot] = True
+                                predicted = btb_predict(pc)
+                                # BTB miss: fall through (will recover).
+                                W_ptg[slot] = pc = (
+                                    predicted if predicted is not None
+                                    else pc + 1)
+                                break
+                            pc += 1
+                        fetch.pc = pc
+                        fetch.next_seq = next_seq
+                        fetch.fetched += fetched
+                        if tracer is not None:
+                            for q in buffer[len(buffer) - fetched:]:
+                                qpc = W_pc[q & mask]
+                                tracer.fetch(q, qpc, P_insts[qpc], now)
+
+            self.now = now = now + 1
+
+            # ---------------- idle skip ------------------------------- #
+            if (commits == 0 and not wb_live and not issued
+                    and not moved and not dropped and not fetched
+                    and stats.recoveries == recoveries_before
+                    and stats.checkpoints_created == checkpoints_before
+                    and (settled is None or settled())):
+                bound = min(completions) if completions else None
+                if (not fetch.halted
+                        and len(buffer) < buffer_capacity):
+                    resume = fetch.stalled_until
+                    if bound is None or resume < bound:
+                        bound = resume
+                if next_timed is not None and (bound is None
+                                               or next_timed < bound):
+                    bound = next_timed
+                horizon = now + (cycle_cap - cycles)
+                if bound is None or bound > horizon:
+                    bound = horizon
+                if bound > now:
+                    count = bound - now
+                    stats.cycles = cycles = cycles + count
+                    self.skipped_cycles += count
+                    if stall_reason is not None:
+                        stats.dispatch_stall_cycles[stall_reason] += count
+                        if stall_bulk is not None:
+                            stall_bulk(stall_reason, count)
+                    fetch.skip_cycles(now, count)
+                    self.now = now = now + count
+        self.now = now
 
     # ------------------------------------------------------------------ #
-    # Writeback / completion.
+    # Scan oracle stages (``cycle`` on a scan core): every ready
+    # candidate is heap-popped and re-pushed each cycle, completion
+    # buckets are filtered lazily and every cycle is simulated.
     # ------------------------------------------------------------------ #
 
     def writeback_stage(self, now: int) -> None:
@@ -418,13 +1058,9 @@ class OutOfOrderCore(ABC):
                 if w_sq[s & mask] == s and not w_st[s & mask] & SQUASHED]
         if not live:
             return
-        self._wb_live = True
-        if self._has_wb_filter:
-            accepted, deferred = self.filter_writebacks(live, now)
-            for s in deferred:
-                self._completions.setdefault(now + 1, []).append(s)
-        else:
-            accepted = live
+        accepted, deferred = self.filter_writebacks(live, now)
+        for s in deferred:
+            self._completions.setdefault(now + 1, []).append(s)
         complete = self._complete
         for s in accepted:
             slot = s & mask
@@ -443,16 +1079,9 @@ class OutOfOrderCore(ABC):
         if dec.wreg[pc]:
             dest = w.dest[slot]
             result = w.res[slot]
-            values = self._value_table
-            if values is not None:
-                values[dest] = result
-                self._ready_table[dest] = True
-            else:
-                self.write_result(slot)
+            self.write_result(slot)
             waiters = self._waiting.pop(dest, None)
             if waiters:
-                wake = (self._ready_insert if self._sched_event
-                        else self._ready_push)
                 mask = w.mask
                 w_sq, w_st, w_wc = w.sq, w.st, w.wc
                 for ws in waiters:
@@ -462,7 +1091,7 @@ class OutOfOrderCore(ABC):
                     count = w_wc[wslot] - 1
                     w_wc[wslot] = count
                     if count == 0:
-                        wake(ws)
+                        heappush(self._ready, ws)
             watchers = self._addr_watch.pop(dest, None)
             if watchers:
                 mask = w.mask
@@ -476,21 +1105,9 @@ class OutOfOrderCore(ABC):
                         self.sq.set_address(w.se[wslot], addr)
         elif kind == 5:                  # store
             self.sq.execute(w.se[slot], w.ma[slot], w.sval[slot])
-        if self._has_on_complete:
-            self.on_complete(seq, slot)
+        self.on_complete(seq, slot)
         if kind == 1 or kind == 2 or kind == 3:
             self._resolve_control(seq, slot, pc, kind, now)
-
-    def _ready_push(self, seq: int) -> None:
-        heappush(self._ready, seq)
-
-    def _ready_insert(self, seq: int) -> None:
-        """Admit ``seq`` to the event scheduler's sorted ready window."""
-        window = self._ready_list
-        if not window or window[-1] < seq:
-            window.append(seq)
-        else:
-            insort(window, seq)
 
     def _resolve_control(self, seq: int, slot: int, pc: int, kind: int,
                          now: int) -> None:
@@ -524,21 +1141,10 @@ class OutOfOrderCore(ABC):
             self.stats.recoveries += 1
             self.recover_from_branch(seq, slot, now)
 
-    # ------------------------------------------------------------------ #
-    # Issue / execute.
-    # ------------------------------------------------------------------ #
-
     def issue_stage(self, now: int) -> None:
-        if self._sched_event:
-            self._issue_stage_event(now)
-        else:
-            self._issue_stage_scan(now)
-
-    def _issue_stage_scan(self, now: int) -> None:
-        """Reference issue loop: pop every candidate from the ready
-        heap, re-pushing the ones that cannot issue this cycle."""
+        """Pop every candidate from the ready heap, re-pushing the ones
+        that cannot issue this cycle."""
         self.fus.new_cycle()
-        self.begin_issue_cycle()
         deferred: List[int] = []
         scanned = 0
         w = self.w
@@ -566,120 +1172,9 @@ class OutOfOrderCore(ABC):
             if not self.fus.can_issue_code(dec.fu[pc]):
                 deferred.append(s)
                 continue
-            if not self.acquire_read_ports(slot, pc):
-                deferred.append(s)       # MSP bank read-port conflict
-                continue
             self._issue(s, slot, pc, kind, now)
         for s in deferred:
             heappush(self._ready, s)
-
-    def _issue_stage_event(self, now: int) -> None:
-        """Event-scheduler issue walk: examine the front of the sorted
-        ready window in place.  Identical candidate order, deferral
-        rules and ``max_issue_scan`` budget accounting as the scan loop
-        (stale and not-yet-eligible entries consume budget in both), but
-        blocked candidates simply stay put instead of being heap-popped
-        and re-pushed, and issued/stale entries are compacted out."""
-        window = self._ready_list
-        if not window:
-            self._next_timed = None
-            return
-        fus = self.fus
-        fus.new_cycle()
-        if self._has_begin_issue:
-            self.begin_issue_cycle()
-        check_ports = self._has_read_ports
-        values = self._value_table
-        issue = self._issue
-        sq = self.sq
-        sq_pending = sq._pending_data
-        # The SQ only changes between walks; unresolved-address seqs
-        # iterate in ascending order, so the "any older store with an
-        # unknown address" half of load_blocked is one compare.
-        sq_oldest_unknown = -1
-        for _q in sq._unknown_addr:
-            sq_oldest_unknown = _q
-            break
-        fu_used = fus._used
-        fu_limits = fus._limits
-        budget = self.config.max_issue_scan
-        slots = fus.issue_width
-        next_timed: Optional[int] = None
-        w = self.w
-        mask = w.mask
-        w_sq, w_st, w_eic, w_pc, w_h0 = w.sq, w.st, w.eic, w.pc, w.h0
-        w_ma = w.ma
-        dec = self._dec
-        kinds, imms, fu_codes = dec.kind, dec.imm, dec.fu
-        read = 0
-        write = 0
-        n = len(window)
-        if budget < n:
-            n = budget                         # scan-budget cap
-        while read < n:
-            s = window[read]
-            read += 1
-            slot = s & mask
-            st = w_st[slot]
-            if w_sq[slot] != s or st & 5:      # stale, squashed or issued
-                self._ready_dropped = True
-                continue                       # compacted out
-            eic = w_eic[slot]
-            if eic > now:
-                if next_timed is None or eic < next_timed:
-                    next_timed = eic
-                window[write] = s
-                write += 1
-                continue
-            pc = w_pc[slot]
-            kind = kinds[pc]
-            if kind == 4:                      # load
-                # The base register cannot be freed or rewritten while
-                # the load is in flight (commit is in order), so the
-                # effective address is computed once and memoised in the
-                # ``ma`` column across blocked re-visits.
-                addr = w_ma[slot]
-                if addr < 0:
-                    base = (values[w_h0[slot]] if values is not None
-                            else self.peek_operand(w_h0[slot]))
-                    if type(base) is int:
-                        addr = (base + imms[pc]) & _ADDR_MASK
-                    else:
-                        addr = effective_address(base, imms[pc])
-                    w_ma[slot] = addr
-                # StoreQueue.load_blocked, inline.
-                if -1 < sq_oldest_unknown < s:
-                    window[write] = s          # unresolved older store
-                    write += 1
-                    continue
-                if sq_pending:
-                    pend = sq_pending.get(addr)
-                    if pend is not None:
-                        blocked = False
-                        for _e in pend:
-                            if _e.seq < s:
-                                blocked = True
-                                break
-                        if blocked:            # conflicting older store
-                            window[write] = s
-                            write += 1
-                            continue
-            code = fu_codes[pc]
-            if fu_used[code] >= fu_limits[code]:
-                window[write] = s
-                write += 1
-                continue
-            if check_ports and not self.acquire_read_ports(slot, pc):
-                window[write] = s              # MSP bank read-port conflict
-                write += 1
-                continue
-            issue(s, slot, pc, kind, now)      # compacted out
-            slots -= 1
-            if slots <= 0:
-                break
-        if write != read:
-            del window[write:read]
-        self._next_timed = next_timed
 
     def _issue(self, seq: int, slot: int, pc: int, kind: int,
                now: int) -> None:
@@ -694,15 +1189,9 @@ class OutOfOrderCore(ABC):
         nsrc = dec.nsrc[pc]
         v0 = v1 = None
         if nsrc:
-            if self._read_direct:
-                values = self._value_table
-                v0 = values[w.h0[slot]]
-                if nsrc > 1:
-                    v1 = values[w.h1[slot]]
-            else:
-                v0 = self.read_operand(w.h0[slot])
-                if nsrc > 1:
-                    v1 = self.read_operand(w.h1[slot])
+            v0 = self.read_operand(w.h0[slot])
+            if nsrc > 1:
+                v1 = self.read_operand(w.h1[slot])
         latency = self._execute(seq, slot, pc, kind, v0, v1)
         completions = self._completions
         finish = now + latency
@@ -718,8 +1207,8 @@ class OutOfOrderCore(ABC):
         """Functional execution; returns result latency in cycles.
 
         The only code in the timing cores that evaluates an instruction:
-        both schedulers reach it through :meth:`_issue`, and the
-        baseline's fused loop calls it directly."""
+        the scan oracle reaches it through :meth:`_issue`, and the event
+        loop's issue walk calls it directly."""
         w = self.w
         dec = self._dec
         if kind == 0:                        # plain register-writing op
@@ -773,8 +1262,7 @@ class OutOfOrderCore(ABC):
         buffer = self.fetch.buffer
         if not buffer:
             return
-        if self._has_begin_dispatch or not self._sched_event:
-            self.begin_dispatch_cycle()
+        self.begin_dispatch_cycle()
         rename_width = self.config.rename_width
         iq_size = self.config.iq_size
         w = self.w
@@ -807,19 +1295,18 @@ class OutOfOrderCore(ABC):
             if kind == 5 and self.sq.is_full():
                 stall_reason = "store_queue_full"
                 break
-            stall_reason = self.dispatch_blocked(s, slot, pc, moved)
+            stall_reason = self.rename(s, slot, pc)
             if stall_reason is not None:
                 break
 
             buffer.pop(0)
-            self.rename(s, slot, pc)
             self._wire_dependencies(s, slot, pc, kind, now)
             if self.tracer is not None:
                 self.tracer.dispatch(s, now)
             moved += 1
 
         if moved == 0 and stall_reason is not None:
-            self._last_stall_reason = stall_reason
+            self._stall_reason = stall_reason
             self.stats.dispatch_stall_cycles[stall_reason] += 1
             if self.tracer is not None:
                 self.tracer.stall(buffer[0], now, stall_reason)
@@ -828,16 +1315,13 @@ class OutOfOrderCore(ABC):
     def _wire_dependencies(self, seq: int, slot: int, pc: int, kind: int,
                            now: int) -> None:
         waiting = self._waiting
-        ready_table = self._ready_table
         w = self.w
         dec = self._dec
         nsrc = dec.nsrc[pc]
         wait_count = 0
         for i in range(nsrc):
             handle = w.h0[slot] if i == 0 else w.h1[slot]
-            ready = (ready_table[handle] if ready_table is not None
-                     else self.handle_ready(handle))
-            if not ready:
+            if not self.handle_ready(handle):
                 wait_count += 1
                 lst = waiting.get(handle)
                 if lst is None:
@@ -851,26 +1335,20 @@ class OutOfOrderCore(ABC):
             # Early AGU: resolve the address as soon as the base operand
             # is available, possibly long before the store issues.
             base = w.h1[slot]
-            if (ready_table[base] if ready_table is not None
-                    else self.handle_ready(base)):
+            if self.handle_ready(base):
                 addr = effective_address(self.peek_operand(base),
                                          dec.imm[pc])
                 self.sq.set_address(w.se[slot], addr)
             else:
                 self._addr_watch.setdefault(base, []).append(seq)
         elif kind == 4:                  # load
-            w.ma[slot] = -1              # address memo for the issue walk
+            w.ma[slot] = -1
             self.load_buffer.allocate()
         self.in_flight.append(seq)
         self.iq_count += 1
         self.stats.dispatched += 1
         if wait_count == 0:
-            # A freshly dispatched instruction is the youngest in the
-            # machine, so the event window admits it with an append.
-            if self._sched_event:
-                self._ready_list.append(seq)
-            else:
-                heappush(self._ready, seq)
+            heappush(self._ready, seq)
 
     # ------------------------------------------------------------------ #
     # Commit helpers.
@@ -1048,13 +1526,10 @@ class OutOfOrderCore(ABC):
         """Retire completed instructions per the machine's commit rules."""
 
     @abstractmethod
-    def dispatch_blocked(self, seq: int, slot: int, pc: int,
-                         moved: int) -> Optional[str]:
-        """Stall reason preventing this instruction from dispatching."""
-
-    @abstractmethod
-    def rename(self, seq: int, slot: int, pc: int) -> None:
-        """Rename sources, allocate the destination, fill h0/h1/dest."""
+    def rename(self, seq: int, slot: int, pc: int) -> Optional[str]:
+        """Rename sources, allocate the destination and fill
+        h0/h1/dest; or return the stall reason that keeps this
+        instruction from dispatching (and change nothing)."""
 
     @abstractmethod
     def recover_from_branch(self, seq: int, slot: int, now: int) -> None:
@@ -1088,19 +1563,19 @@ class OutOfOrderCore(ABC):
     def begin_dispatch_cycle(self) -> None:
         """Per-cycle dispatch-group state reset (MSP rename limits)."""
 
-    def begin_issue_cycle(self) -> None:
-        """Per-cycle issue-port state reset (MSP read-port arbitration)."""
-
-    def acquire_read_ports(self, slot: int, pc: int) -> bool:
-        """Try to claim register-file read ports (MSP)."""
-        return True
-
     def filter_writebacks(self, completed: List[int], now: int):
         """Split completions into (accepted, deferred) per write ports."""
         return completed, []
 
     def on_complete(self, seq: int, slot: int) -> None:
         """Architecture bookkeeping when an instruction finishes."""
+
+    def commit_settled(self) -> bool:
+        """True when re-running the commit stage against frozen machine
+        state is a provable no-op, so quiet cycles may be skipped in
+        bulk (MSP requires its pipelined LCS min-tree to have drained
+        to a fixpoint)."""
+        return True
 
     def on_branch_resolved(self, slot: int, mispredicted: bool) -> None:
         """CPR trains its confidence estimator here."""
@@ -1111,13 +1586,8 @@ class OutOfOrderCore(ABC):
 
     def on_dispatch_stall_bulk(self, reason: str, count: int) -> None:
         """Replay ``count`` per-cycle :meth:`on_dispatch_stall` calls
-        during the idle skip, in O(1) where possible.  Machine state is
-        frozen across the skipped cycles, so the per-cycle hook is a
-        pure function of that frozen state: one call reproduces the
-        cumulative effect of ``count`` unless the hook mutates
-        per-cycle counters (MSP overrides this with a bulk add).  The
-        base hook is a no-op, so the default does nothing when it is
-        not overridden."""
-        if type(self).on_dispatch_stall is not \
-                OutOfOrderCore.on_dispatch_stall:
-            self.on_dispatch_stall(reason)
+        during the idle skip.  Machine state is frozen across the
+        skipped cycles, and the quiet cycle before them already ran the
+        per-cycle hook without changing anything, so only a hook that
+        counts cycles has work here (MSP overrides this with a bulk
+        add)."""

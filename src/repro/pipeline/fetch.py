@@ -114,7 +114,7 @@ class FetchEngine:
             w.ensure_room(self.oldest_live(), next_seq + self.width)
         mask = w.mask
         w_sq, w_pc, w_st = w.sq, w.pc, w.st
-        w_tag, w_ghr = w.tag, w.ghr
+        w_ghr = w.ghr
         dec = self.decoded
         size = dec.size
         kinds, codes, targets = dec.kind, dec.code, dec.target
@@ -134,7 +134,6 @@ class FetchEngine:
             w_sq[slot] = next_seq
             w_pc[slot] = pc
             w_st[slot] = 0
-            w_tag[slot] = None
             w_ghr[slot] = predictor.get_history()
             seq = next_seq
             next_seq += 1

@@ -27,9 +27,9 @@ Capacity is checked once per fetch group against a cached *barrier*
 core recompute the true oldest live seq and, if the span genuinely
 exceeds capacity, :meth:`grow` doubles the ring — re-placing every
 column entry at ``seq & new_mask`` *in place* (``col[:] = new``), so
-loops that bound a column as a local (the baseline's fused run loop
-holds them for the whole run) keep seeing live storage; they re-read
-``mask`` after a growth check.  ``REPRO_WINDOW_CAP`` forces a tiny
+loops that bound a column as a local (the event scheduler's cycle
+loop holds them for the whole run) keep seeing live storage; they
+re-read ``mask`` after a growth check.  ``REPRO_WINDOW_CAP`` forces a tiny
 initial capacity so tests and the fuzz harness exercise the growth
 path on ordinary programs.
 """
@@ -64,7 +64,7 @@ COLUMNS = (
     "ma",    # effective memory address
     "fin",   # completion cycle (written at issue; targeted squash purge)
     "se",    # store-queue entry
-    "tag",   # arch snapshot / CPR checkpoint memo (None default)
+    "tag",   # baseline branch RAT snapshot / CPR owner checkpoint
     "sid",   # MSP state id
     "ghr",   # global-history snapshot at fetch
 )

@@ -8,6 +8,8 @@ simulator itself across PRs.  Four modes run the same workload/machine:
 * ``ff+warmup``   — ``run_fast`` with the warm-up engine fused in
   (what fast-forward actually costs);
 * ``detailed``    — the cycle-level core (full-detail cost);
+* ``detailed-cpr`` — the same harness and budget on the paper's CPR-192
+  comparator (checkpointed bulk commit, reference-counted registers);
 * ``detailed-msp16`` — the same harness and budget on the paper's
   16-SP machine (LCS-driven commit over per-register banks);
 * ``sampled``     — the complete sampled engine (periodic windows),
@@ -46,17 +48,18 @@ from typing import Dict, List, Optional, Sequence
 SCHEMA = "repro-bench-throughput/1"
 
 #: Mode names in canonical order.
-MODES = ("emulator", "ff+warmup", "detailed", "detailed-msp16", "sampled",
-         "simpoint", "campaign-amortized")
+MODES = ("emulator", "ff+warmup", "detailed", "detailed-cpr",
+         "detailed-msp16", "sampled", "simpoint", "campaign-amortized")
 REFERENCE_MODES = ("emulator-ref", "ff+warmup-ref")
 
 #: The modes the CI regression gate watches (the PR-over-PR trajectory
 #: this subsystem exists to protect): the fast-forward path since PR 3,
 #: the detailed cycle cores since the event-scheduler PR, the two
-#: end-to-end sampled engines since the simpoint PR, and the 16-SP
-#: detailed core since the incremental-LCS change.
-GATED_MODES = ("ff+warmup", "detailed", "detailed-msp16", "sampled",
-               "simpoint", "campaign-amortized")
+#: end-to-end sampled engines since the simpoint PR, the 16-SP
+#: detailed core since the incremental-LCS change, and CPR since the
+#: one-event-loop change.
+GATED_MODES = ("ff+warmup", "detailed", "detailed-cpr", "detailed-msp16",
+               "sampled", "simpoint", "campaign-amortized")
 #: Backwards-compatible alias (the historical single gated mode).
 GATED_MODE = "ff+warmup"
 
@@ -87,8 +90,14 @@ MAX_DETAILED_SLOWDOWN_VS_EMULATOR = 42.0
 #: The same ceiling for ``detailed-msp16``: the record that added the
 #: mode measured ~111x, the code before the incremental LCS ~136x.
 MAX_DETAILED_MSP16_SLOWDOWN_VS_EMULATOR = 125.0
+
+#: The same ceiling for ``detailed-cpr``: on one host (median of four
+#: runs each) CPR measured ~82x before it joined the event loop, ~56x
+#: after.
+MAX_DETAILED_CPR_SLOWDOWN_VS_EMULATOR = 72.0
 DETAILED_SLOWDOWN_CEILINGS = {
     "detailed": MAX_DETAILED_SLOWDOWN_VS_EMULATOR,
+    "detailed-cpr": MAX_DETAILED_CPR_SLOWDOWN_VS_EMULATOR,
     "detailed-msp16": MAX_DETAILED_MSP16_SLOWDOWN_VS_EMULATOR,
 }
 
@@ -116,6 +125,8 @@ def _tage_config(mode: str = "detailed"):
     from repro.sim.config import SimConfig
     if mode == "detailed-msp16":
         return SimConfig.msp(16, predictor="tage")
+    if mode == "detailed-cpr":
+        return SimConfig.cpr(predictor="tage")
     return SimConfig.baseline(predictor="tage")
 
 
@@ -507,6 +518,7 @@ def format_table(record: dict) -> str:
 
 
 __all__ = ["DETAILED_SLOWDOWN_CEILINGS", "GATED_MODE", "GATED_MODES",
+           "MAX_DETAILED_CPR_SLOWDOWN_VS_EMULATOR",
            "MAX_DETAILED_MSP16_SLOWDOWN_VS_EMULATOR",
            "MAX_DETAILED_SLOWDOWN_VS_EMULATOR",
            "MIN_CAMPAIGN_AMORTIZATION",

@@ -8,11 +8,12 @@ the program runs forever (budget-terminated).
 The differential harness (:func:`run_differential`) cross-checks every
 timing core (baseline, CPR, MSP) under both detailed-core schedulers
 (event and scan) against the reference emulator on the same seeded
-program — commit trace and final memory must match the oracle exactly.
-A mismatch comes back as a typed :class:`Divergence`; :func:`shrink`
-reduces it to the smallest ``(blocks, budget)`` pair that still
-reproduces, so a fuzz failure lands as a minimal repro, not a
-700-instruction haystack.
+program — commit trace and final memory must match the oracle exactly
+— and, on its timing axis, the two schedulers against each other: their
+``SimStats`` must be equal field for field.  A mismatch comes back as a
+typed :class:`Divergence`; :func:`shrink` reduces it to the smallest
+``(blocks, budget)`` pair that still reproduces, so a fuzz failure
+lands as a minimal repro, not a 700-instruction haystack.
 """
 
 from __future__ import annotations
@@ -124,9 +125,12 @@ SCHEDULERS = ("event", "scan")
 
 
 def fuzz_configs() -> List:
-    """The three timing cores the harness checks against the oracle."""
+    """The timing cores the harness checks against the oracle: the
+    three machines, plus a 4-entry-bank MSP whose banks fill constantly
+    (the bank-stall-heavy shape the MSP's idle skip must get right)."""
     from repro.sim import SimConfig
-    return [SimConfig.baseline(), SimConfig.cpr(), SimConfig.msp(8)]
+    return [SimConfig.baseline(), SimConfig.cpr(), SimConfig.msp(8),
+            SimConfig.msp(4)]
 
 
 @dataclass
@@ -139,7 +143,7 @@ class Divergence:
     budget: int
     machine: str                          # SimConfig label
     scheduler: str
-    kind: str                             # "stall"|"commit-trace"|"memory"
+    kind: str                 # "stall"|"commit-trace"|"memory"|"timing"
     detail: str
     config: Optional[object] = None       # the SimConfig (for recheck)
 
@@ -183,21 +187,37 @@ def compare_with_oracle(commit_trace: Sequence[int],
     return None
 
 
-def check_one(seed: int, config, scheduler: str, *,
-              blocks: int = 8, budget: int = 700) -> Optional[Divergence]:
-    """Run one (core, scheduler) cell against the emulator oracle;
-    returns a :class:`Divergence` or None when they agree."""
-    from repro.isa import Emulator
+def compare_stats(event: dict, scan: dict) -> Optional[str]:
+    """The first ``SimStats.to_dict()`` field on which the event
+    scheduler and the scan oracle disagree, as a detail line, or None.
+    Pure so the detection logic is testable without a real bug."""
+    for key in sorted(set(event) | set(scan)):
+        if event.get(key) != scan.get(key):
+            return (f"{key}: event={event.get(key)!r}, "
+                    f"scan={scan.get(key)!r}")
+    return None
+
+
+def _run_cell(program, config, scheduler: str, budget: int):
+    """Simulate one (core, scheduler) cell; returns (core, stats), or
+    (core, the :class:`SimulationStalled` error) when it stalled."""
+    from repro.pipeline.core_base import SimulationStalled
     from repro.sim import build_core
-    program = random_program(seed, blocks=blocks)
     core = build_core(program, config.with_(scheduler=scheduler,
                                             record_commits=True))
-    stats = core.run(max_instructions=budget)
-    if stats.committed < budget:
+    try:
+        return core, core.run(max_instructions=budget)
+    except SimulationStalled as exc:
+        return core, exc
+
+
+def _oracle_check(seed: int, blocks: int, budget: int, config,
+                  scheduler: str, program, core, stats
+                  ) -> Optional[Divergence]:
+    from repro.isa import Emulator
+    if isinstance(stats, Exception):
         return Divergence(seed, blocks, budget, config.label, scheduler,
-                          "stall", f"core stalled after "
-                          f"{stats.committed}/{budget} instructions",
-                          config=config)
+                          "stall", str(stats), config=config)
     oracle = Emulator(program, trace_pcs=True)
     reference = oracle.run(max_instructions=stats.committed)
     mismatch = compare_with_oracle(core.commit_trace, reference.pc_trace,
@@ -209,17 +229,58 @@ def check_one(seed: int, config, scheduler: str, *,
                       kind, detail, config=config)
 
 
+def _timing_check(seed: int, blocks: int, budget: int, config,
+                  event, scan) -> Optional[Divergence]:
+    if isinstance(event, Exception) or isinstance(scan, Exception):
+        return None                      # a stall is reported per cell
+    detail = compare_stats(event.to_dict(), scan.to_dict())
+    if detail is None:
+        return None
+    return Divergence(seed, blocks, budget, config.label, "event",
+                      "timing", detail, config=config)
+
+
+def check_one(seed: int, config, scheduler: str, *,
+              blocks: int = 8, budget: int = 700) -> Optional[Divergence]:
+    """Run one (core, scheduler) cell against the emulator oracle;
+    returns a :class:`Divergence` or None when they agree."""
+    program = random_program(seed, blocks=blocks)
+    core, stats = _run_cell(program, config, scheduler, budget)
+    return _oracle_check(seed, blocks, budget, config, scheduler,
+                         program, core, stats)
+
+
+def check_timing(seed: int, config, *, blocks: int = 8,
+                 budget: int = 700) -> Optional[Divergence]:
+    """Run one core under both schedulers; a ``"timing"``
+    :class:`Divergence` when their ``SimStats`` differ, else None."""
+    program = random_program(seed, blocks=blocks)
+    _, event = _run_cell(program, config, "event", budget)
+    _, scan = _run_cell(program, config, "scan", budget)
+    return _timing_check(seed, blocks, budget, config, event, scan)
+
+
 def run_differential(seed: int, *, blocks: int = 8, budget: int = 700,
                      configs=None,
                      schedulers: Sequence[str] = SCHEDULERS
                      ) -> List[Divergence]:
-    """Sweep every core x scheduler cell for one seed; returns all
+    """Sweep every core x scheduler cell for one seed against the
+    oracle, and every core's schedulers against each other; returns all
     divergences found (empty on a healthy simulator)."""
     divergences = []
+    program = random_program(seed, blocks=blocks)
     for config in (configs if configs is not None else fuzz_configs()):
+        stats = {}
         for scheduler in schedulers:
-            found = check_one(seed, config, scheduler,
-                              blocks=blocks, budget=budget)
+            core, stats[scheduler] = _run_cell(program, config, scheduler,
+                                               budget)
+            found = _oracle_check(seed, blocks, budget, config, scheduler,
+                                  program, core, stats[scheduler])
+            if found is not None:
+                divergences.append(found)
+        if "event" in stats and "scan" in stats:
+            found = _timing_check(seed, blocks, budget, config,
+                                  stats["event"], stats["scan"])
             if found is not None:
                 divergences.append(found)
     return divergences
@@ -232,9 +293,13 @@ def shrink(divergence: Divergence,
     """Reduce a divergence to the smallest ``(blocks, budget)`` that
     still reproduces it: drop blocks one at a time, then bisect the
     instruction budget.  ``reproduces(blocks, budget)`` defaults to
-    re-running the real cell; tests inject synthetic predicates."""
+    re-running the real cell (both schedulers for a timing divergence);
+    tests inject synthetic predicates."""
     if reproduces is None:
         def reproduces(blocks: int, budget: int) -> Optional[Divergence]:
+            if divergence.kind == "timing":
+                return check_timing(divergence.seed, divergence.config,
+                                    blocks=blocks, budget=budget)
             return check_one(divergence.seed, divergence.config,
                              divergence.scheduler,
                              blocks=blocks, budget=budget)

@@ -40,6 +40,22 @@ def test_lcs_delay_pipeline():
     assert lcs.step(0) == 20
 
 
+def test_lcs_new_value_not_settled_until_returned():
+    """A 1-cycle pipe that has just taken a new value holds only that
+    value, yet the step returned the old one: stepping again with
+    unchanged leaves is not a no-op, so the pipe is not settled."""
+    lcs = lcs_unit(1, [10])
+    lcs.step(0)                      # returns the primed 0, feeds 10
+    assert not lcs.settled
+    assert lcs.step(0) == 10         # the new value emerges
+    assert lcs.settled
+    lcs.leaves[0] = 20
+    assert lcs.step(0) == 10         # feeds 20, still returns 10
+    assert not lcs.settled
+    assert lcs.step(0) == 20
+    assert lcs.settled
+
+
 def test_lcs_leaves_start_excluded():
     lcs = LCSUnit(delay=0, banks=64)
     assert lcs.leaves == [EXCLUDED] * 64

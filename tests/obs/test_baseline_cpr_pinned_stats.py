@@ -3,11 +3,11 @@ the timing cores shared one execute implementation.
 
 ``baseline_cpr_pinned_stats.json`` holds ``SimStats.to_dict()``
 payloads for the two machines whose issue paths evaluate instructions:
-both predictors (the baseline's fused loop inlines gshare predict and
-reads TAGE's history directly), a memory-bound and a front-end-bound
-workload, injected exceptions (the generic stage-method loop) and a
-forced four-entry in-flight ring, which makes the fused loop's window
-grow mid-run.  Any drift means execution changed behaviour.
+both predictors (the event loop inlines gshare predict and reads
+TAGE's history directly), a memory-bound and a front-end-bound
+workload, injected exceptions (which route the baseline's commit and
+rename through its hooks) and a forced four-entry in-flight ring,
+which makes the loop's window grow mid-run.  Any drift means execution changed behaviour.
 
 Regenerate (only when a change is *meant* to alter results) with
 ``PYTHONPATH=src python tests/obs/test_baseline_cpr_pinned_stats.py``.

@@ -3,8 +3,9 @@ be bit-identical to the retained scan-loop reference oracle.
 
 The event scheduler (``SimConfig.scheduler == "event"``, the default)
 replaces the per-cycle heap pop/re-push loop with a sorted ready window,
-purges waiter lists and completion events on squash, runs a fused loop
-for the baseline machine and skips provably idle cycles in bulk.  None
+purges waiter lists and completion events on squash, runs one cycle
+loop with the stages inline for every machine and skips provably idle
+cycles in bulk.  None
 of that may perturb a single counter: every cell of the quick SPECint
 grid x {baseline, cpr, msp16}, full detail and sampled, must produce a
 ``SimStats`` equal field-for-field to the scan scheduler's.
@@ -62,9 +63,32 @@ def test_sampled_bit_identical(workload, machine):
     assert scan == event, _diff(scan, event)
 
 
+#: One figure cell per shape the MSP idle skip once took (3k
+#: instructions, against scan): parser on the 8-SP livelocked to its
+#: cycle cap; the SPECfp cells drifted in cycles, commits or stall
+#: counters.  ``benchmarks/bench_scheduler_equivalence.py`` sweeps all
+#: 352 figure cells.
+IDLE_SKIP_SHAPES = [
+    ("parser", 8, "gshare"), ("parser", 8, "tage"),
+    ("ammp", 16, "tage"), ("art", 8, "tage"), ("equake", 32, "tage"),
+    ("mgrid", 64, "tage"), ("applu", 8, "tage"), ("applu", 32, "tage"),
+    ("swim", 32, "tage"),
+]
+
+
+@pytest.mark.parametrize("workload,banks,predictor", IDLE_SKIP_SHAPES)
+def test_msp_idle_skip_shapes_bit_identical(workload, banks, predictor):
+    config = SimConfig.msp(banks, predictor=predictor)
+    scan = simulate(get_program(workload), config.with_(scheduler="scan"),
+                    max_instructions=3000).to_dict()
+    event = simulate(get_program(workload), config,
+                     max_instructions=3000).to_dict()
+    assert scan == event, _diff(scan, event)
+
+
 def test_tage_baseline_bit_identical():
     """The throughput-bench cell (gzip, TAGE, baseline) exercises the
-    fused loop + the TAGE fast paths together."""
+    inline ROB retire/rename + the TAGE fast paths together."""
     program = get_program("gzip")
     scan = simulate(program, SimConfig.baseline(predictor="tage",
                                                 scheduler="scan"),
@@ -76,8 +100,9 @@ def test_tage_baseline_bit_identical():
 
 
 def test_exception_injection_bit_identical():
-    """Exception recovery (which the fused baseline loop punts to the
-    generic event path) must match the oracle too."""
+    """Exception recovery (for which the event loop routes the
+    baseline's commit and rename through its hooks) must match the
+    oracle too."""
     for machine in sorted(MACHINES):
         make = MACHINES[machine]
         kwargs = {"exception_ordinals": frozenset([57, 400])}

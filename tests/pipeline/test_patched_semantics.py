@@ -4,16 +4,16 @@ Instructions snapshot their semantics fn at decode
 (``Instruction.eval_fn``), and ``OutOfOrderCore._execute`` is the only
 code in the timing cores that calls it.  So a program built after an
 experiment monkeypatches ``EVAL_FNS`` must run the replacement on all
-three machines under both schedulers, including the baseline's fused
-run loop.
+three machines under both schedulers, including the event scheduler's
+cycle loop, which every machine runs.
 """
 
 from __future__ import annotations
 
-from repro.baseline.processor import BaselineProcessor
 from repro.isa.opcodes import Op
 from repro.isa.program import ProgramBuilder
 from repro.isa.semantics import EVAL_FNS
+from repro.pipeline.core_base import OutOfOrderCore
 from repro.sim import SimConfig, build_core
 
 MACHINES = {
@@ -38,14 +38,14 @@ def _add_and_store():
 
 def test_patched_add_runs_on_every_machine_and_scheduler(monkeypatch):
     monkeypatch.setitem(EVAL_FNS, Op.ADD, lambda srcs, imm: 777)
-    fused_runs = []
-    run_fused = BaselineProcessor._run_fused
+    loop_runs = []
+    run_event = OutOfOrderCore._run_event
 
     def spy(self, *args):
-        fused_runs.append(self.config.scheduler)
-        return run_fused(self, *args)
+        loop_runs.append((self.config.arch, self.config.scheduler))
+        return run_event(self, *args)
 
-    monkeypatch.setattr(BaselineProcessor, "_run_fused", spy)
+    monkeypatch.setattr(OutOfOrderCore, "_run_event", spy)
     program, out = _add_and_store()
     for machine, make in MACHINES.items():
         for scheduler in ("event", "scan"):
@@ -53,5 +53,6 @@ def test_patched_add_runs_on_every_machine_and_scheduler(monkeypatch):
             core.run(max_instructions=100)
             assert core.done, (machine, scheduler)
             assert core.memory[out] == 777, (machine, scheduler)
-    assert fused_runs == ["event"]
+    assert loop_runs == [("baseline", "event"), ("cpr", "event"),
+                         ("msp", "event")]
 

@@ -219,6 +219,44 @@ def test_detailed_msp16_slowdown_ceiling():
     assert len(failures) == 1 and "detailed-msp16" in failures[0]
 
 
+def test_detailed_cpr_slowdown_ceiling():
+    """CPR-192 has its own slowdown-vs-emulator ceiling (one-event-loop
+    change): the ratio measured before CPR joined the event loop must
+    fail it, the ratio after it must pass, and it gates only its own
+    mode."""
+    assert "detailed-cpr" in bench.MODES
+    assert "detailed-cpr" in bench.GATED_MODES
+
+    def record(emulator, cpr):
+        return {"workload": "gzip", "budgets": {"detail": 20_000},
+                "modes": {
+                    "emulator": {"instructions_per_second": emulator},
+                    "detailed-cpr": {"instructions_per_second": cpr}}}
+
+    ceiling = bench.MAX_DETAILED_CPR_SLOWDOWN_VS_EMULATOR
+    assert bench.DETAILED_SLOWDOWN_CEILINGS["detailed-cpr"] == ceiling
+    before, after = 82.3, 56.0       # before / after the event loop
+    assert after < ceiling < before
+    assert bench.check_detailed_slowdown(
+        record(2_500_000.0, 2_500_000.0 / after), "detailed-cpr") is None
+    failure = bench.check_detailed_slowdown(
+        record(2_500_000.0, 2_500_000.0 / before), "detailed-cpr")
+    assert failure is not None and "detailed-cpr" in failure \
+        and "ceiling" in failure
+    failures = bench.check_regressions(
+        record(2_500_000.0, 2_500_000.0 / before), {"modes": {}})
+    assert len(failures) == 1 and "detailed-cpr" in failures[0]
+
+
+def test_tage_config_per_detailed_mode():
+    from repro.sim.bench import _tage_config
+    assert _tage_config("detailed").arch == "baseline"
+    assert _tage_config("detailed-cpr").arch == "cpr"
+    assert _tage_config("detailed-msp16").bank_size == 16
+    assert {_tage_config(m).predictor
+            for m in bench.DETAILED_SLOWDOWN_CEILINGS} == {"tage"}
+
+
 def test_measure_annotates_simpoint_reduction():
     from repro.sim.bench import _annotate_simpoint_reduction
     record = {"budgets": {"sampled": 100_000}, "modes": {
